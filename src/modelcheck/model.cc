@@ -1,6 +1,7 @@
 #include "src/modelcheck/model.h"
 
 #include <algorithm>
+#include <cassert>
 #include <deque>
 #include <unordered_set>
 #include <vector>
@@ -32,9 +33,9 @@ struct State {
   bool app_alive = true;
   int8_t peer_crashes = 0;
   int8_t app_crashes = 0;
-  // Set while a replacement was recorded in the ap-map but not caught up
-  // (only reachable with bug_apmap_before_catchup): index+1 of that peer.
-  int8_t pending_catchup = 0;
+  // Replacements recorded in the ap-map but not caught up (only reachable
+  // with bug_apmap_before_catchup): a bitmask over peer indices.
+  uint8_t pending_catchup = 0;
   // Planned migration in progress: source member and target spare
   // (index+1, 0 = none) plus the write count captured by the snapshot
   // copy. The target holds the snapshot prefix but is *not* a member
@@ -80,6 +81,7 @@ class Checker {
     int n = ec() ? config_.ec_k + config_.ec_m
                  : 2 * config_.fault_budget + 1;
     init.peers.resize(static_cast<size_t>(n + config_.spare_peers));
+    assert(init.peers.size() <= 8 && "pending_catchup is an 8-bit mask");
     for (int i = 0; i < n; ++i) {
       init.peers[i].holds = true;
       init.peers[i].member = true;
@@ -215,9 +217,7 @@ class Checker {
         p.complete_prefix = true;
         p.base = p.data_upto = p.seq_upto = 0;
         t.peer_crashes++;
-        if (t.pending_catchup == static_cast<int8_t>(i) + 1) {
-          t.pending_catchup = 0;
-        }
+        t.pending_catchup &= static_cast<uint8_t>(~(1u << i));
         if (t.mig_src == static_cast<int8_t>(i) + 1 ||
             t.mig_dst == static_cast<int8_t>(i) + 1) {
           // Crash of either endpoint mid-copy supersedes the migration
@@ -230,7 +230,7 @@ class Checker {
     }
 
     // --- 4. The app replaces a crashed member with a spare. --------------
-    if (s.app_alive) {
+    if (s.app_alive && !config_.batch_replacement_only) {
       for (size_t i = 0; i < s.peers.size(); ++i) {
         if (!s.peers[i].member || s.peers[i].alive) {
           continue;  // replace only dead members
@@ -266,7 +266,7 @@ class Checker {
             // the real system); writes after this point do land.
             np.data_upto = np.seq_upto = s.issued;
             np.base = s.issued;
-            t.pending_catchup = static_cast<int8_t>(j) + 1;
+            t.pending_catchup = static_cast<uint8_t>(1u << j);
             result_.transitions++;
             Push(std::move(t));
           }
@@ -275,12 +275,55 @@ class Checker {
       }
     }
 
-    // --- 4b. Complete a pending (bug-path) catch-up. ----------------------
+    // --- 4e. The app replaces every dead member in one step (one epoch
+    // bump, one ap-map write: NclFile::ReplaceSlots), as far as spares
+    // allow; a dead member left without a spare stays dead. Safe protocol:
+    // every new peer is caught up before the single ap-map write. The
+    // injected bug records all of them first, their catch-ups pending.
+    if (s.app_alive && (!config_.bug_apmap_before_catchup ||
+                        s.pending_catchup == 0)) {
+      std::vector<size_t> dead;
+      std::vector<size_t> spares;
+      for (size_t i = 0; i < s.peers.size(); ++i) {
+        const Peer& p = s.peers[i];
+        if (p.member && !p.alive) {
+          dead.push_back(i);
+        } else if (!p.member && p.alive && !p.holds) {
+          spares.push_back(i);
+        }
+      }
+      size_t n = std::min(dead.size(), spares.size());
+      if (n > 0) {
+        State t = s;
+        for (size_t k = 0; k < n; ++k) {
+          t.peers[dead[k]].member = false;
+          Peer& np = t.peers[spares[k]];
+          np.member = true;
+          np.holds = true;
+          np.base = np.data_upto = np.seq_upto = s.issued;
+          if (!config_.bug_apmap_before_catchup) {
+            np.complete_prefix = true;
+          } else {
+            np.complete_prefix = s.issued == 0;  // empty region
+            t.pending_catchup |= static_cast<uint8_t>(1u << spares[k]);
+          }
+        }
+        result_.transitions++;
+        Push(std::move(t));
+      }
+    }
+
+    // --- 4b. Complete the pending (bug-path) catch-ups: one wait covers
+    // every leg of the step that recorded them.
     if (s.app_alive && s.pending_catchup != 0) {
       State t = s;
-      Peer& np = t.peers[t.pending_catchup - 1];
-      np.complete_prefix = true;
-      np.base = np.data_upto = np.seq_upto = s.issued;
+      for (size_t i = 0; i < t.peers.size(); ++i) {
+        if (t.pending_catchup & (1u << i)) {
+          Peer& np = t.peers[i];
+          np.complete_prefix = true;
+          np.base = np.data_upto = np.seq_upto = s.issued;
+        }
+      }
       t.pending_catchup = 0;
       result_.transitions++;
       Push(std::move(t));

@@ -5,7 +5,8 @@
 // injected bug). The checker enumerates every interleaving of:
 //   * WR deliveries on each peer,
 //   * application-issued writes (up to a bound),
-//   * peer crashes and replacements,
+//   * peer crashes and replacements (one dead member at a time, or every
+//     dead member in one step),
 //   * application crashes and recoveries (with every f+1-subset of
 //     responding peers as the recovery quorum),
 // and asserts the §4.6 correctness condition after every recovery:
@@ -58,6 +59,10 @@ struct McConfig {
   // run concurrently with writes and crashes. 0 keeps the pre-migration
   // state space.
   int max_migrations = 0;
+  // Restricts crash repair to the replace-every-dead-member step, so a
+  // test can show that step's bug_apmap_before_catchup twin is caught on
+  // its own.
+  bool batch_replacement_only = false;
   bool bug_seq_before_data = false;
   bool bug_apmap_before_catchup = false;
   bool bug_skip_recovery_catchup = false;

@@ -104,33 +104,6 @@ LogPeer* NclClient::LookupPeerWithRetry(const std::string& name) {
   return peer;
 }
 
-Result<std::pair<LogPeer*, AllocationGrant>> NclClient::AllocateOnFreshPeer(
-    const std::string& file, uint64_t region_bytes, uint64_t epoch,
-    const std::set<std::string>& exclude) {
-  std::set<std::string> tried = exclude;
-  for (int attempt = 0; attempt < config_.allocation_attempts; ++attempt) {
-    auto peers = RetryControllerRpc(
-        [&] { return controller_->GetPeers(1, region_bytes, tried); });
-    if (!peers.ok()) {
-      return peers.status();
-    }
-    const PeerRecord& rec = (*peers)[0];
-    tried.insert(rec.name);
-    LogPeer* peer = directory_->Lookup(rec.name);
-    if (peer == nullptr || !peer->alive()) {
-      // Stale controller registration (peer crashed without unregistering).
-      continue;
-    }
-    auto grant = peer->Allocate(config_.app_id, file, region_bytes, epoch);
-    if (grant.ok()) {
-      return std::make_pair(peer, *grant);
-    }
-    // The controller's availability was a hint; the peer rejected (§4.3).
-  }
-  return UnavailableError("no log peer could grant " +
-                          std::to_string(region_bytes) + " bytes for " + file);
-}
-
 Result<std::unique_ptr<NclFile>> NclClient::Create(const std::string& file,
                                                    uint64_t capacity) {
   if (!init_status_.ok()) {
@@ -151,26 +124,19 @@ Result<std::unique_ptr<NclFile>> NclClient::Create(const std::string& file,
   std::unique_ptr<NclFile> out(new NclFile(this, file, capacity));
   out->epoch_ = *epoch;
 
-  // Per-slot region: a shard region (k-th of the content space plus
-  // parity-row twins) in EC mode, a full replica otherwise.
-  uint64_t region_bytes = out->SlotRegionBytes();
+  // One peer at a time (each slot's shard role is its index).
   for (int i = 0; i < n_peers(); ++i) {
-    auto got = AllocateOnFreshPeer(file, region_bytes, *epoch, out->ever_used_);
-    if (!got.ok()) {
+    Status shortfall;
+    std::vector<NclFile::PeerSlot> got =
+        out->AllocateFreshSlots(1, out->ever_used_, &shortfall);
+    if (got.empty()) {
       // Partial allocations leak until the peers' GC notices the epoch has
       // no recorded ap-map entry (tested in ncl_gc tests).
-      return got.status();
+      return shortfall;
     }
-    auto [peer, grant] = *got;
-    NclFile::PeerSlot slot;
-    slot.peer_name = peer->name();
-    slot.peer = peer;
-    slot.node = peer->node();
-    slot.rkey = grant.rkey;
-    slot.qp = pool_->Connect(peer->node());
-    slot.shard_index = static_cast<uint32_t>(i);
-    out->slots_.push_back(std::move(slot));
-    out->ever_used_.insert(peer->name());
+    got[0].shard_index = static_cast<uint32_t>(i);
+    out->ever_used_.insert(got[0].peer_name);
+    out->slots_.push_back(std::move(got[0]));
   }
   out->RefreshPeerNames();
   RETURN_IF_ERROR(out->WriteApMap());
@@ -276,10 +242,14 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
   }
 
   // Phase 2: contact the peers; each either grants the region or rejects
-  // (it crashed and lost its mr-map, §4.5.1).
+  // (it crashed and lost its mr-map, §4.5.1). Directory lookups come first
+  // (they may back off under the retry policy, which runs the simulation);
+  // then every reachable peer answers its recovery lookup and gets a QP at
+  // once, so the phase costs one peer's round, not one per peer.
   std::unique_ptr<NclFile> out(new NclFile(this, file, 0));
   {
     ObsSpan phase(obs_.tracer, "ncl.recover.connect");
+    std::vector<LogPeer*> peers;
     uint32_t index = 0;
     for (const std::string& name : apmap->peers) {
       NclFile::PeerSlot slot;
@@ -287,25 +257,31 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
       slot.alive = false;
       slot.shard_index = index++;
       out->ever_used_.insert(name);
-      LogPeer* peer = LookupPeerWithRetry(name);
-      if (peer != nullptr && peer->alive()) {
-        auto grant = peer->LookupForRecovery(config_.app_id, file);
-        if (grant.ok()) {
-          slot.peer = peer;
-          slot.node = peer->node();
-          slot.rkey = grant->rkey;
-          slot.qp = pool_->Connect(peer->node());
-          slot.alive = true;
-          // Back out the logical capacity from the per-slot region size:
-          // a shard holds a k-th of the (group-rounded) content space.
-          uint64_t slot_capacity =
-              ec ? (grant->region_bytes - kNclEcHeaderBytes) * config_.ec.k
-                 : grant->region_bytes - kNclRegionHeaderBytes;
-          out->capacity_ = std::max(out->capacity_, slot_capacity);
-        }
-      }
       out->slots_.push_back(std::move(slot));
+      peers.push_back(LookupPeerWithRetry(name));
     }
+    sim->Overlap(peers.size(), [&](size_t i) {
+      LogPeer* peer = peers[i];
+      if (peer == nullptr || !peer->alive()) {
+        return;
+      }
+      auto grant = peer->LookupForRecovery(config_.app_id, file);
+      if (!grant.ok()) {
+        return;
+      }
+      NclFile::PeerSlot& slot = out->slots_[i];
+      slot.peer = peer;
+      slot.node = peer->node();
+      slot.rkey = grant->rkey;
+      slot.qp = pool_->Connect(peer->node());
+      slot.alive = true;
+      // Back out the logical capacity from the per-slot region size: a
+      // shard holds a k-th of the (group-rounded) content space.
+      uint64_t slot_capacity =
+          ec ? (grant->region_bytes - kNclEcHeaderBytes) * config_.ec.k
+             : grant->region_bytes - kNclRegionHeaderBytes;
+      out->capacity_ = std::max(out->capacity_, slot_capacity);
+    });
     if (out->alive_peers() < ack_quorum()) {
       // Too many peers lost the region (more than f replicas / more than m
       // shards): correctly make the file unavailable rather than lose
@@ -571,15 +547,7 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
     }
     out->epoch_ = *epoch;
     if (!config_.unsafe_skip_recovery_catchup) {
-      for (NclFile::PeerSlot& slot : out->slots_) {
-        if (!slot.alive) {
-          continue;
-        }
-        Status st = out->CatchUpViaStagedRegion(&slot);
-        if (!st.ok()) {
-          slot.alive = false;
-        }
-      }
+      out->CatchUpViaStagedRegions(out->SlotsWhere(true));
       if (out->alive_peers() < ack_quorum()) {
         return UnavailableError("peers failed during recovery catch-up");
       }
@@ -593,13 +561,12 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
     // The recovered tail is majority-durable by construction (catch-up
     // completed on >= f+1 peers), so the commit watermark starts there.
     out->committed_seq_ = out->seq_;
-    for (NclFile::PeerSlot& slot : out->slots_) {
-      if (!slot.alive) {
-        // Best effort: maintain the fault-tolerance level. Failure here is
-        // tolerable as long as a majority is alive.
-        DiscardStatus(out->ReplaceSlot(&slot),
-                      "NclClient recovery slot replacement");
-      }
+    std::vector<NclFile::PeerSlot*> dead = out->SlotsWhere(false);
+    if (!dead.empty()) {
+      // Best effort: maintain the fault-tolerance level. Failure here is
+      // tolerable as long as a majority is alive.
+      DiscardStatus(out->ReplaceSlots(dead),
+                    "NclClient recovery slot replacement");
     }
     out->RefreshPeerNames();
     RETURN_IF_ERROR(out->WriteApMap());
@@ -729,7 +696,7 @@ void NclFile::UpdateDegradedGauge() {
   }
   // How far the most-degraded slot trails the commit watermark. A dead
   // slot's acked_seq freezes where it died, so the gauge grows while the
-  // stripe set is degraded and snaps back once repair (ReplaceSlot)
+  // stripe set is degraded and snaps back once repair (ReplaceSlots)
   // re-encodes the shard onto a fresh peer.
   uint64_t min_acked = committed_seq_;
   for (const PeerSlot& slot : slots_) {
@@ -919,18 +886,16 @@ Status NclFile::WaitFor(uint64_t seq) {
     if (alive_peers() < client_->ack_quorum()) {
       // Too many peers failed (more than f replicas, or more than m shard
       // holders in EC mode): writes block until replacements are caught up
-      // (§4.5.2). Replace just enough to regain an ack quorum; the rest
-      // are replaced off the critical path below.
-      for (PeerSlot& slot : slots_) {
-        if (alive_peers() >= client_->ack_quorum()) {
-          break;
-        }
-        if (!slot.alive) {
-          Status replaced = ReplaceSlot(&slot);
-          if (replaced.code() == StatusCode::kAborted) {
-            return replaced;  // test hook: simulated app crash
-          }
-        }
+      // (§4.5.2). One replacement step costs one peer's replacement however
+      // many slots it covers, so with eager replacement every dead slot
+      // goes in it; otherwise just enough to regain an ack quorum.
+      size_t count = config.eager_peer_replacement
+                         ? slots_.size()
+                         : static_cast<size_t>(client_->ack_quorum() -
+                                               alive_peers());
+      Status replaced = ReplaceSlots(SlotsWhere(false, count));
+      if (replaced.code() == StatusCode::kAborted) {
+        return replaced;  // test hook: simulated app crash
       }
       if (alive_peers() < client_->ack_quorum()) {
         return UnavailableError(
@@ -962,12 +927,11 @@ Status NclFile::WaitFor(uint64_t seq) {
     // Whether any suspect resurrected is irrelevant here; the loop below
     // replaces whatever is still down.
     MaybeRetrySuspects();
-    for (PeerSlot& slot : slots_) {
-      if (!slot.alive) {
-        Status replaced = ReplaceSlot(&slot);
-        if (replaced.code() == StatusCode::kAborted) {
-          return replaced;  // test hook: simulated app crash
-        }
+    std::vector<PeerSlot*> dead = SlotsWhere(false);
+    if (!dead.empty()) {
+      Status replaced = ReplaceSlots(dead);
+      if (replaced.code() == StatusCode::kAborted) {
+        return replaced;  // test hook: simulated app crash
       }
     }
     AdvanceCommitWatermark();
@@ -1283,49 +1247,99 @@ int NclFile::CountAcked(uint64_t seq) const {
   return acked;
 }
 
-Status NclFile::BulkCatchUp(PeerSlot* slot, RKey rkey) {
-  ObsSpan span(client_->obs_.tracer, "ncl.catchup.bulk");
+std::vector<NclFile::PeerSlot*> NclFile::SlotsWhere(bool alive,
+                                                    size_t limit) {
+  std::vector<PeerSlot*> out;
+  for (PeerSlot& slot : slots_) {
+    if (out.size() < limit && slot.alive == alive) {
+      out.push_back(&slot);
+    }
+  }
+  return out;
+}
+
+void NclFile::PostBulkCatchUp(Leg* leg) {
+  PeerSlot* slot = leg->slot;
+  leg->span = "ncl.catchup.bulk";
+  leg->posted_at = client_->fabric_->sim()->Now();
   const uint64_t header_bytes = HeaderBytes();
-  std::vector<uint64_t> wanted;
   std::string shard_scratch;
   if (ec()) {
     EcShardRange range = FullShardRange();
     if (!range.empty()) {
       EncodeShardRange(slot->shard_index, range, &shard_scratch);
-      wanted.push_back(
-          slot->qp->PostWrite(rkey, header_bytes + range.begin, shard_scratch));
+      leg->wanted.push_back(slot->qp->PostWrite(
+          leg->target, header_bytes + range.begin, shard_scratch));
     }
   } else if (!buffer_.empty()) {
-    wanted.push_back(slot->qp->PostWrite(rkey, header_bytes, buffer_));
+    leg->wanted.push_back(
+        slot->qp->PostWrite(leg->target, header_bytes, buffer_));
   }
   char header[kNclEcHeaderBytes];
   EncodeSlotHeader(slot->shard_index, header);
-  wanted.push_back(
-      slot->qp->PostWrite(rkey, 0, std::string_view(header, header_bytes)));
+  leg->wanted.push_back(slot->qp->PostWrite(
+      leg->target, 0, std::string_view(header, header_bytes)));
+}
 
+void NclFile::AwaitLegs(std::vector<Leg>* legs) {
   Simulation* sim = client_->fabric_->sim();
-  size_t done = 0;
-  bool failed = false;
-  bool ok = sim->RunUntilPredicate([&] {
-    Completion c;
-    while (slot->qp->PollCq(&c)) {
-      if (c.status != WcStatus::kSuccess) {
-        failed = true;
-        return true;
+  Tracer* tracer = client_->obs_.tracer;
+  auto owed = [](const Leg& leg) {
+    return leg.status.ok() && leg.done < leg.wanted.size();
+  };
+  auto settle = [&](Leg* leg) {
+    if (leg->span != nullptr && tracer != nullptr) {
+      tracer->AddAsyncSpan(leg->span, leg->posted_at, sim->Now());
+    }
+    leg->span = nullptr;
+  };
+  bool drained = sim->RunUntilPredicate([&] {
+    bool pending = false;
+    for (Leg& leg : *legs) {
+      if (!owed(leg)) {
+        continue;
       }
-      for (uint64_t id : wanted) {
-        if (c.wr_id == id) {
-          done++;
+      Completion c;
+      while (leg.slot->qp->PollCq(&c)) {
+        if (c.status != WcStatus::kSuccess) {
+          leg.status = UnavailableError("catch-up transfer to " +
+                                        leg.slot->peer_name + " failed");
+          break;
+        }
+        if (std::find(leg.wanted.begin(), leg.wanted.end(), c.wr_id) !=
+            leg.wanted.end()) {
+          leg.done++;
+          if (!c.read_data.empty()) {
+            leg.read_data = std::move(c.read_data);
+          }
         }
       }
+      if (owed(leg)) {
+        pending = true;
+      } else {
+        settle(&leg);
+      }
     }
-    return done == wanted.size();
+    return !pending;
   });
-  if (!ok || failed) {
-    return UnavailableError("catch-up transfer to " + slot->peer_name +
-                            " failed");
+  if (!drained) {
+    for (Leg& leg : *legs) {
+      if (owed(leg)) {
+        leg.status = UnavailableError("catch-up transfer to " +
+                                      leg.slot->peer_name + " stalled");
+        settle(&leg);
+      }
+    }
   }
-  return OkStatus();
+}
+
+Status NclFile::BulkCatchUp(PeerSlot* slot, RKey rkey) {
+  std::vector<Leg> legs(1);
+  legs[0].slot = slot;
+  legs[0].target = rkey;
+  PostBulkCatchUp(&legs[0]);
+  AwaitLegs(&legs);
+  return legs[0].status;
 }
 
 namespace {
@@ -1370,119 +1384,125 @@ std::vector<DiffRange> ComputeDiffRanges(std::string_view a,
 
 }  // namespace
 
-Status NclFile::CatchUpViaStagedRegion(PeerSlot* slot) {
-  ObsSpan span(client_->obs_.tracer, "ncl.catchup.staged");
+void NclFile::CatchUpViaStagedRegions(const std::vector<PeerSlot*>& slots) {
   const NclConfig& config = client_->config_;
-  LogPeer* peer = slot->peer;
-  if (peer == nullptr) {
-    return UnavailableError("peer process unreachable: " + slot->peer_name);
-  }
   Simulation* sim = client_->fabric_->sim();
-
-  const uint64_t header_bytes = HeaderBytes();
-  // EC: the diff target is this slot's *encoded shard*, not the logical
-  // buffer. Encode the full shard once and diff/ship in shard space.
-  std::string local_shard;
-  if (ec()) {
-    EcShardRange range = FullShardRange();
-    if (!range.empty()) {
-      EncodeShardRange(slot->shard_index, range, &local_shard);
+  const SimTime start = sim->Now();
+  std::vector<Leg> legs(slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    legs[i].slot = slots[i];
+    if (slots[i]->peer == nullptr) {
+      legs[i].status =
+          UnavailableError("peer process unreachable: " + slots[i]->peer_name);
     }
   }
-  std::string_view local_content = ec() ? std::string_view(local_shard)
-                                        : std::string_view(buffer_);
-  if (!ec()) {
-    local_content = local_content.substr(
-        0, std::min<uint64_t>(length_, capacity_));
-  }
-  if (config.diff_catchup) {
-    // §4.5.1 optimization: clone the peer's current region locally on the
-    // peer and ship only the bytewise difference.
-    //
-    // First read the peer's current contents so we can diff against them.
-    std::string remote;
-    if (!local_content.empty()) {
-      uint64_t wr =
-          slot->qp->PostRead(slot->rkey, header_bytes, local_content.size());
-      bool failed = false;
-      bool ok = sim->RunUntilPredicate([&] {
-        Completion c;
-        while (slot->qp->PollCq(&c)) {
-          if (c.status != WcStatus::kSuccess) {
-            failed = true;
-            return true;
-          }
-          if (c.wr_id == wr) {
-            remote = std::move(c.read_data);
-            return true;
-          }
-        }
-        return false;
-      });
-      if (!ok || failed) {
-        return UnavailableError("diff catch-up read failed");
+  // Runs one Advance-only step of every leg still going, all at once.
+  auto overlap = [&](auto&& step) {
+    sim->Overlap(legs.size(), [&](size_t i) {
+      if (legs[i].status.ok()) {
+        legs[i].status = step(&legs[i]);
       }
-    }
-    auto staged = peer->CloneRegionForCatchup(client_->config_.app_id, name_,
-                                              epoch_);
-    if (!staged.ok()) {
-      return staged.status();
-    }
-    std::vector<uint64_t> wanted;
-    for (const DiffRange& r : ComputeDiffRanges(remote, local_content)) {
-      wanted.push_back(slot->qp->PostWrite(
-          staged->rkey, header_bytes + r.offset,
-          local_content.substr(r.offset, r.len)));
-    }
-    char header[kNclEcHeaderBytes];
-    EncodeSlotHeader(slot->shard_index, header);
-    wanted.push_back(slot->qp->PostWrite(
-        staged->rkey, 0, std::string_view(header, header_bytes)));
-    size_t done = 0;
-    bool failed = false;
-    bool ok = sim->RunUntilPredicate([&] {
-      Completion c;
-      while (slot->qp->PollCq(&c)) {
-        if (c.status != WcStatus::kSuccess) {
-          failed = true;
-          return true;
-        }
-        for (uint64_t id : wanted) {
-          if (c.wr_id == id) {
-            done++;
-          }
-        }
-      }
-      return done == wanted.size();
     });
-    if (!ok || failed) {
-      return UnavailableError("diff catch-up transfer failed");
+  };
+
+  if (config.diff_catchup) {
+    // §4.5.1 optimization: clone each peer's current region locally on the
+    // peer and ship only the bytewise difference. The diff target is the
+    // slot's image: the logical buffer, or in EC mode its encoded shard.
+    const uint64_t header_bytes = HeaderBytes();
+    std::vector<std::string> shards(legs.size());
+    auto image = [&](size_t i) -> std::string_view {
+      if (ec()) {
+        return shards[i];
+      }
+      return std::string_view(buffer_).substr(
+          0, std::min<uint64_t>(length_, capacity_));
+    };
+    // First read every peer's current contents, to diff against.
+    for (size_t i = 0; i < legs.size(); ++i) {
+      PeerSlot* slot = legs[i].slot;
+      if (ec() && !FullShardRange().empty()) {
+        EncodeShardRange(slot->shard_index, FullShardRange(), &shards[i]);
+      }
+      if (legs[i].status.ok() && !image(i).empty()) {
+        legs[i].wanted.push_back(
+            slot->qp->PostRead(slot->rkey, header_bytes, image(i).size()));
+      }
     }
-    RETURN_IF_ERROR(peer->SwitchRegion(client_->config_.app_id, name_,
-                                       staged->rkey));
-    slot->rkey = staged->rkey;
+    AwaitLegs(&legs);
+    overlap([&](Leg* leg) -> Status {
+      auto staged = leg->slot->peer->CloneRegionForCatchup(config.app_id,
+                                                           name_, epoch_);
+      if (!staged.ok()) {
+        return staged.status();
+      }
+      leg->target = staged->rkey;
+      return OkStatus();
+    });
+    for (size_t i = 0; i < legs.size(); ++i) {
+      Leg& leg = legs[i];
+      if (!leg.status.ok()) {
+        continue;
+      }
+      std::string_view local = image(i);
+      leg.wanted.clear();
+      leg.done = 0;
+      for (const DiffRange& r : ComputeDiffRanges(leg.read_data, local)) {
+        leg.wanted.push_back(
+            leg.slot->qp->PostWrite(leg.target, header_bytes + r.offset,
+                                    local.substr(r.offset, r.len)));
+      }
+      char header[kNclEcHeaderBytes];
+      EncodeSlotHeader(leg.slot->shard_index, header);
+      leg.wanted.push_back(leg.slot->qp->PostWrite(
+          leg.target, 0, std::string_view(header, header_bytes)));
+    }
   } else {
-    auto staged = peer->AllocateCatchupRegion(
-        client_->config_.app_id, name_, SlotRegionBytes(), epoch_);
-    if (!staged.ok()) {
-      return staged.status();
+    // Every peer stages a fresh region at once (pinning and registering it
+    // dominates), then all bulk copies go out together.
+    overlap([&](Leg* leg) -> Status {
+      auto staged = leg->slot->peer->AllocateCatchupRegion(
+          config.app_id, name_, SlotRegionBytes(), epoch_);
+      if (!staged.ok()) {
+        return staged.status();
+      }
+      leg->target = staged->rkey;
+      return OkStatus();
+    });
+    for (Leg& leg : legs) {
+      if (leg.status.ok()) {
+        PostBulkCatchUp(&leg);
+      }
     }
-    RETURN_IF_ERROR(BulkCatchUp(slot, staged->rkey));
-    RETURN_IF_ERROR(peer->SwitchRegion(client_->config_.app_id, name_,
-                                       staged->rkey));
-    slot->rkey = staged->rkey;
   }
-  slot->acked_seq = seq_;
-  slot->inflight.clear();
-  return OkStatus();
+  AwaitLegs(&legs);
+  // Every caught-up peer commits its staged region at once.
+  overlap([&](Leg* leg) -> Status {
+    RETURN_IF_ERROR(leg->slot->peer->SwitchRegion(config.app_id, name_,
+                                                  leg->target));
+    leg->slot->rkey = leg->target;
+    leg->slot->acked_seq = seq_;
+    leg->slot->inflight.clear();
+    return OkStatus();
+  });
+  for (Leg& leg : legs) {
+    if (!leg.status.ok()) {
+      leg.slot->alive = false;
+    }
+    if (client_->obs_.tracer != nullptr) {
+      client_->obs_.tracer->AddAsyncSpan("ncl.catchup.staged", start,
+                                         sim->Now());
+    }
+  }
 }
 
-Status NclFile::ReplaceSlot(PeerSlot* slot) {
+Status NclFile::ReplaceSlots(const std::vector<PeerSlot*>& dead) {
   NclClient* client = client_;
   const NclConfig& config = client->config_;
   ObsSpan span(client->obs_.tracer, "ncl.replace_slot");
 
-  // New epoch: we intend to update the ap-map (§4.5.1).
+  // New epoch: we intend to update the ap-map (§4.5.1). One bump covers
+  // every slot this step replaces.
   auto epoch = client->RetryControllerRpc(
       [&] { return client->controller_->BumpAppEpoch(config.app_id); });
   if (!epoch.ok()) {
@@ -1491,67 +1511,143 @@ Status NclFile::ReplaceSlot(PeerSlot* slot) {
   epoch_ = *epoch;
 
   // Exclude only the file's *other* current members. Any other peer —
-  // including one used in the past, or this failed slot's own peer after a
+  // including one used in the past, or a failed slot's own peer after a
   // restart/revocation — is safe to reuse: Allocate replaces any stale
   // region with a fresh empty one, and the catch-up precedes the ap-map
   // update, so the §4.6 quorum argument holds.
   std::set<std::string> exclude;
   for (const PeerSlot& s : slots_) {
-    if (&s != slot) {
+    if (std::find(dead.begin(), dead.end(), &s) == dead.end()) {
       exclude.insert(s.peer_name);
     }
   }
-  auto got = client->AllocateOnFreshPeer(name_, SlotRegionBytes(),
-                                         epoch_, exclude);
-  if (!got.ok()) {
-    return got.status();
-  }
-  auto [peer, grant] = *got;
 
-  PeerSlot fresh;
-  fresh.peer_name = peer->name();
-  fresh.peer = peer;
-  fresh.node = peer->node();
-  fresh.rkey = grant.rkey;
-  fresh.qp = client->pool_->Connect(peer->node());
-  fresh.alive = true;
-  // The successor inherits the failed slot's shard role: slot order is
+  Status status;
+  std::vector<PeerSlot> fresh =
+      AllocateFreshSlots(dead.size(), std::move(exclude), &status);
+  if (fresh.empty()) {
+    return status;
+  }
+  // Each successor inherits its failed slot's shard role: slot order is
   // shard-role order (ap-map contract), and the catch-up below re-encodes
-  // exactly that shard from the local buffer. In EC mode this IS background
-  // repair — the lost shard is rebuilt on a fresh peer.
-  fresh.shard_index = slot->shard_index;
+  // exactly that shard from the local buffer. In EC mode this IS
+  // background repair — the lost shard is rebuilt on a fresh peer.
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    fresh[i].shard_index = dead[i]->shard_index;
+  }
   if (ec()) {
-    ObsAdd(client->c_ec_repairs_);
+    ObsAdd(client->c_ec_repairs_, fresh.size());
   }
 
+  std::vector<Leg> legs(fresh.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    legs[i].slot = &fresh[i];
+    legs[i].target = fresh[i].rkey;
+  }
   if (config.unsafe_apmap_before_catchup) {
-    // BUG (for §4.6 validation): recording the new peer before it is caught
-    // up makes the Fig 7(iii) data loss possible.
-    *slot = std::move(fresh);
-    ever_used_.insert(peer->name());
+    // BUG (for §4.6 validation): recording the new peers before they are
+    // caught up makes the Fig 7(iii) data loss possible.
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      *dead[i] = std::move(fresh[i]);
+      ever_used_.insert(dead[i]->peer_name);
+      legs[i].slot = dead[i];
+    }
     RefreshPeerNames();
     RETURN_IF_ERROR(WriteApMap());
     if (config.test_crash_after_apmap_update) {
       return AbortedError("test hook: simulated crash after ap-map update");
     }
-    RETURN_IF_ERROR(BulkCatchUp(slot, slot->rkey));
-    slot->acked_seq = seq_;
-    client->peers_replaced_++;
-    ObsAdd(client->c_peers_replaced_);
-    return OkStatus();
   }
 
-  // Safe order: catch the new peer up from the local buffer, then update
-  // the ap-map (§4.5.2).
-  RETURN_IF_ERROR(BulkCatchUp(&fresh, fresh.rkey));
-  fresh.acked_seq = seq_;
-  *slot = std::move(fresh);
-  ever_used_.insert(peer->name());
-  RefreshPeerNames();
-  RETURN_IF_ERROR(WriteApMap());
-  client->peers_replaced_++;
-  ObsAdd(client->c_peers_replaced_);
-  return OkStatus();
+  // Safe order: catch every new peer up from the local buffer — all bulk
+  // copies in flight together, one wait — then record exactly the peers
+  // whose copy completed in one ap-map update (§4.5.2). A failed leg never
+  // enters the ap-map.
+  for (Leg& leg : legs) {
+    PostBulkCatchUp(&leg);
+  }
+  AwaitLegs(&legs);
+  int installed = 0;
+  for (size_t i = 0; i < legs.size(); ++i) {
+    if (!legs[i].status.ok()) {
+      if (status.ok()) {
+        status = legs[i].status;
+      }
+      legs[i].slot->alive = false;
+      continue;
+    }
+    legs[i].slot->acked_seq = seq_;
+    if (!config.unsafe_apmap_before_catchup) {
+      *dead[i] = std::move(fresh[i]);
+      ever_used_.insert(dead[i]->peer_name);
+    }
+    installed++;
+    client->peers_replaced_++;
+    ObsAdd(client->c_peers_replaced_);
+  }
+  if (installed > 0 && !config.unsafe_apmap_before_catchup) {
+    RefreshPeerNames();
+    RETURN_IF_ERROR(WriteApMap());
+  }
+  return status;
+}
+
+std::vector<NclFile::PeerSlot> NclFile::AllocateFreshSlots(
+    size_t count, std::set<std::string> exclude, Status* shortfall) {
+  NclClient* client = client_;
+  const uint64_t region_bytes = SlotRegionBytes();
+  std::vector<PeerSlot> fresh;
+  *shortfall = OkStatus();
+  for (int attempt = 0; attempt < client->config_.allocation_attempts &&
+                        fresh.size() < count;
+       ++attempt) {
+    // One GetPeers for every missing peer; with fewer candidates than
+    // that, as many as there are.
+    size_t want = count - fresh.size();
+    auto get_peers = [&] {
+      return client->RetryControllerRpc([&] {
+        return client->controller_->GetPeers(want, region_bytes, exclude);
+      });
+    };
+    auto peers = get_peers();
+    while (!peers.ok() && peers.status().code() == StatusCode::kUnavailable &&
+           want > 1) {
+      --want;
+      peers = get_peers();
+    }
+    if (!peers.ok()) {
+      *shortfall = peers.status();
+      return fresh;
+    }
+    client->fabric_->sim()->Overlap(peers->size(), [&](size_t i) {
+      const PeerRecord& rec = (*peers)[i];
+      exclude.insert(rec.name);
+      LogPeer* peer = client->directory_->Lookup(rec.name);
+      if (peer == nullptr || !peer->alive()) {
+        // Stale controller registration (peer crashed without
+        // unregistering).
+        return;
+      }
+      auto grant =
+          peer->Allocate(client->config_.app_id, name_, region_bytes, epoch_);
+      if (!grant.ok()) {
+        return;  // the controller's availability was a hint (§4.3)
+      }
+      PeerSlot slot;
+      slot.peer_name = peer->name();
+      slot.peer = peer;
+      slot.node = peer->node();
+      slot.rkey = grant->rkey;
+      slot.qp = client->pool_->Connect(peer->node());
+      fresh.push_back(std::move(slot));
+    });
+  }
+  if (fresh.size() < count) {
+    *shortfall = UnavailableError("no log peer could grant " +
+                                  std::to_string(region_bytes) +
+                                  " bytes for " + name_);
+  }
+  return fresh;
 }
 
 Status NclFile::AwaitSlotDrain(PeerSlot* slot) {
@@ -1592,7 +1688,7 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
   }
   if (!slot->alive) {
     return FailedPreconditionError(
-        "cannot migrate a dead slot; ReplaceSlot handles failures");
+        "cannot migrate a dead slot; ReplaceSlots handles failures");
   }
   const std::string source_name = slot->peer_name;
   migrating_ = true;
@@ -1622,20 +1718,12 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
   for (const PeerSlot& s : slots_) {
     exclude.insert(s.peer_name);
   }
-  auto got = client->AllocateOnFreshPeer(name_, SlotRegionBytes(),
-                                         epoch_, exclude);
-  if (!got.ok()) {
-    return got.status();
+  Status shortfall;
+  std::vector<PeerSlot> got = AllocateFreshSlots(1, exclude, &shortfall);
+  if (got.empty()) {
+    return shortfall;
   }
-  auto [peer, grant] = *got;
-
-  PeerSlot fresh;
-  fresh.peer_name = peer->name();
-  fresh.peer = peer;
-  fresh.node = peer->node();
-  fresh.rkey = grant.rkey;
-  fresh.qp = client->pool_->Connect(peer->node());
-  fresh.alive = true;
+  PeerSlot fresh = std::move(got[0]);
   // Planned moves keep the shard role too: the target takes over exactly
   // the source's lane in the stripe geometry.
   fresh.shard_index = slot->shard_index;
@@ -1671,7 +1759,7 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
     migrate_acked_floor_ = fresh.acked_seq;
   }
 
-  // A crash-driven ReplaceSlot may have interleaved with the copy (it runs
+  // A crash-driven ReplaceSlots may have interleaved with the copy (it runs
   // from re-entrant WaitFor calls): it bumped the epoch and rewrote the
   // membership. Our cutover would then be an unbumped write — exactly what
   // the controller fences — so detect the supersession and stand down. The

@@ -18,6 +18,7 @@
 #define SRC_NCL_NCL_CLIENT_H_
 
 #include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -111,7 +112,7 @@ struct NclConfig {
   // then returns kAborted without waiting — simulating the application
   // crashing mid-replication (the Fig 7i divergence).
   int test_crash_after_posting = -1;
-  // Test hook: with unsafe_apmap_before_catchup, makes ReplaceSlot stop
+  // Test hook: with unsafe_apmap_before_catchup, makes ReplaceSlots stop
   // right after the ap-map update — the application crash window that
   // produces the Fig 7(iii) data loss.
   bool test_crash_after_apmap_update = false;
@@ -223,12 +224,6 @@ class NclClient {
     return config_.ec_enabled ? static_cast<int>(config_.ec.k)
                               : config_.fault_budget + 1;
   }
-
-  // Finds a peer (excluding `exclude`) that grants `region_bytes`, trying
-  // several candidates because controller info is a hint.
-  Result<std::pair<LogPeer*, AllocationGrant>> AllocateOnFreshPeer(
-      const std::string& file, uint64_t region_bytes, uint64_t epoch,
-      const std::set<std::string>& exclude);
 
   // Directory lookup that retries (under config.retry) while the peer's
   // setup process is momentarily unreachable, instead of treating the
@@ -451,10 +446,13 @@ class NclFile {
   // Earliest pending resurrection time across suspect slots, or -1.
   SimTime NextSuspectRetryAt() const;
 
-  // Replaces a dead slot with a freshly allocated, caught-up peer and
-  // updates the ap-map (§4.5.2). On success the slot is alive and fully
-  // caught up.
-  Status ReplaceSlot(PeerSlot* slot);
+  // Replaces the `dead` slots in one step (§4.5.2): one epoch bump, one
+  // GetPeers for all of them, every new peer allocating and connecting at
+  // once, all bulk copies in flight together, then one ap-map update
+  // naming every new peer whose copy completed. A slot whose leg failed
+  // stays dead; the first failure is returned. On success every slot is
+  // alive and fully caught up.
+  Status ReplaceSlots(const std::vector<PeerSlot*>& dead);
   // Planned migration of a *live* slot's region to a fresh peer while
   // appends keep flowing: epoch bump, snapshot bulk copy, suffix catch-up
   // rounds (PostSuffix on the not-yet-member target) until the target acked
@@ -466,13 +464,48 @@ class NclFile {
   // Pumps only `slot`'s CQ until its inflight queue drains; kUnavailable on
   // a WR failure or a stalled fabric.
   Status AwaitSlotDrain(PeerSlot* slot);
-  // Bulk-writes the current buffer + header into (rkey on slot's QP) and
-  // waits for completion.
+
+  // ---- Multi-peer steps --------------------------------------------------
+  // One peer's part of a step the client runs on several peers at once
+  // (recovery catch-up, slot replacement): the slot it works on, the region
+  // its WRs land in and the WRs it waits for. Legs start together and the
+  // step ends with the slowest; a failed leg drops out without holding up
+  // the others.
+  struct Leg {
+    PeerSlot* slot = nullptr;
+    RKey target = 0;
+    std::vector<uint64_t> wanted;  // WRs whose completions the leg awaits
+    size_t done = 0;               // of `wanted`, completed so far
+    std::string read_data;         // a READ's result (diff catch-up)
+    // Async span from posted_at to the leg's last completion, if set.
+    const char* span = nullptr;
+    SimTime posted_at = 0;
+    Status status;
+  };
+  // Slots whose alive flag equals `alive`, in slot order, at most `limit`.
+  std::vector<PeerSlot*> SlotsWhere(bool alive, size_t limit = SIZE_MAX);
+  // Posts the current buffer (EC: the leg's shard) + header into the leg's
+  // target region on its slot's QP, as an "ncl.catchup.bulk" leg.
+  void PostBulkCatchUp(Leg* leg);
+  // One wait for every leg's outstanding WRs. A WR error or a stalled
+  // fabric fails just that leg.
+  void AwaitLegs(std::vector<Leg>* legs);
+  // Finds `count` fresh peers outside `exclude` and, on all of them at
+  // once, allocates this file's slot region at epoch_ and connects a QP.
+  // One GetPeers per round; candidates that turn out stale or reject (the
+  // controller's availability is a hint, §4.3) are replaced in further
+  // rounds, up to allocation_attempts. Returns the new slots — fewer than
+  // `count` when peers run out, with the reason in `shortfall`.
+  std::vector<PeerSlot> AllocateFreshSlots(size_t count,
+                                           std::set<std::string> exclude,
+                                           Status* shortfall);
+  // A single-leg bulk catch-up into `rkey` on `slot`'s QP (migration).
   Status BulkCatchUp(PeerSlot* slot, RKey rkey);
-  // Recovery catch-up (§4.5.1): stages a fresh (or cloned, in diff mode)
-  // region on the peer, fills it with the recovered contents, and commits
-  // it with the atomic mr-map switch.
-  Status CatchUpViaStagedRegion(PeerSlot* slot);
+  // Recovery catch-up (§4.5.1) of every slot in `slots` at once: each peer
+  // stages a fresh (or, in diff mode, cloned) region, the recovered
+  // contents are shipped to all of them together, and each commits with
+  // the atomic mr-map switch. Slots whose leg failed are marked dead.
+  void CatchUpViaStagedRegions(const std::vector<PeerSlot*>& slots);
   Status WriteApMap();
   void RefreshPeerNames();
 
@@ -518,7 +551,7 @@ class NclFile {
   std::vector<PeerSlot> slots_;
   std::vector<std::string> peer_names_;
   // Peers ever assigned to this file; Create uses it to pick n distinct
-  // peers. Replacement only excludes *current* members (see ReplaceSlot).
+  // peers. Replacement only excludes *current* members (see ReplaceSlots).
   std::set<std::string> ever_used_;
   bool deleted_ = false;
   // After a no-prefetch recovery, reads are served by per-call RDMA reads

@@ -258,7 +258,7 @@ Result<AllocationGrant> LogPeer::AllocateInternal(
       auto src = fabric_->RegionBuffer(node_, entry.rkey);
       auto dst = fabric_->RegionBuffer(node_, carve->rkey);
       if (src.ok() && dst.ok()) {
-        **dst = **src;
+        (*dst)->CopyFrom(**src);
       }
     }
     UpdateGauges();

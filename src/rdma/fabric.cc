@@ -1,7 +1,12 @@
 #include "src/rdma/fabric.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <new>
 
 #include "src/common/logging.h"
 
@@ -19,6 +24,81 @@ std::string_view WcStatusName(WcStatus status) {
       return "FLUSH_ERROR";
   }
   return "UNKNOWN";
+}
+
+// ------------------------------------------------------------ RegionMemory --
+
+namespace {
+
+uint64_t PageBytes() {
+  static const uint64_t page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+}  // namespace
+
+RegionMemory::RegionMemory(uint64_t size) : size_(size) {
+  if (size == 0) {
+    return;
+  }
+  mapped_ = (size + PageBytes() - 1) / PageBytes() * PageBytes();
+  void* p = mmap(nullptr, mapped_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  data_ = static_cast<char*>(p);
+}
+
+RegionMemory::~RegionMemory() {
+  if (data_ != nullptr) {
+    munmap(data_, mapped_);
+  }
+}
+
+RegionMemory::RegionMemory(RegionMemory&& other) noexcept
+    : data_(other.data_), size_(other.size_), mapped_(other.mapped_) {
+  other.data_ = nullptr;
+  other.size_ = other.mapped_ = 0;
+}
+
+RegionMemory& RegionMemory::operator=(RegionMemory&& other) noexcept {
+  if (this != &other) {
+    if (data_ != nullptr) {
+      munmap(data_, mapped_);
+    }
+    data_ = other.data_;
+    size_ = other.size_;
+    mapped_ = other.mapped_;
+    other.data_ = nullptr;
+    other.size_ = other.mapped_ = 0;
+  }
+  return *this;
+}
+
+std::string RegionMemory::CopyOut(uint64_t pos, uint64_t len) const {
+  pos = std::min(pos, size_);
+  len = std::min(len, size_ - pos);
+  return std::string(data_ + pos, len);
+}
+
+void RegionMemory::CopyIn(uint64_t pos, std::string_view bytes) {
+  assert(pos + bytes.size() <= size_);
+  std::memcpy(data_ + pos, bytes.data(), bytes.size());
+}
+
+void RegionMemory::CopyFrom(const RegionMemory& src) {
+  Zero();
+  const uint64_t n = std::min(size_, src.size_);
+  if (n > 0) {
+    std::memcpy(data_, src.data_, n);
+  }
+}
+
+void RegionMemory::Zero() {
+  if (data_ != nullptr) {
+    madvise(data_, mapped_, MADV_DONTNEED);
+  }
 }
 
 // Shared QP state. Fabric delivery events hold a shared_ptr so that a WR in
@@ -142,7 +222,7 @@ Result<RKey> Fabric::RegisterRegion(NodeId node_id, uint64_t size) {
   // (the peer's lightweight setup process performs it synchronously).
   sim_->Advance(params_->MrRegisterLatency(size));
   RKey rkey = next_rkey_++;
-  node.regions[rkey] = Region{std::string(size, '\0'), /*valid=*/true};
+  node.regions[rkey] = Region{RegionMemory(size), /*valid=*/true};
   return rkey;
 }
 
@@ -155,7 +235,7 @@ Result<RKey> Fabric::BindWindowRegion(NodeId node_id, uint64_t size) {
   // send-queue operation granting a fresh rkey over a sub-range.
   sim_->Advance(params_->rdma.mw_bind_latency);
   RKey rkey = next_rkey_++;
-  node.regions[rkey] = Region{std::string(size, '\0'), /*valid=*/true};
+  node.regions[rkey] = Region{RegionMemory(size), /*valid=*/true};
   return rkey;
 }
 
@@ -180,8 +260,9 @@ Result<RKey> Fabric::RecycleRegion(NodeId node_id, RKey rkey) {
   }
   Region region = std::move(it->second);
   node.regions.erase(it);
-  // Zero the reused memory (local peer-side memset).
-  std::fill(region.buffer.begin(), region.buffer.end(), '\0');
+  // Zero the reused memory (local peer-side memset; the host drops the
+  // pages instead of writing zeros, the modelled cost is the memset's).
+  region.buffer.Zero();
   sim_->Advance(static_cast<SimTime>(
       static_cast<double>(region.buffer.size()) / 12.0));  // ~12 GB/s memset
   region.valid = true;
@@ -198,7 +279,7 @@ Status Fabric::DeregisterRegion(NodeId node_id, RKey rkey) {
   return OkStatus();
 }
 
-Result<std::string*> Fabric::RegionBuffer(NodeId node_id, RKey rkey) {
+Result<RegionMemory*> Fabric::RegionBuffer(NodeId node_id, RKey rkey) {
   Node& node = nodes_.at(node_id);
   if (!node.alive) {
     return UnavailableError("node " + node.name + " is down");
@@ -242,8 +323,12 @@ void Fabric::RecyclePayload(std::string* payload) {
   // Classify by capacity: Acquire reserves exactly the class size, so a
   // pooled buffer returns to the class it came from. Buffers below the
   // smallest class (SSO, READ WRs' empty payloads) and oversized one-offs
-  // are dropped.
+  // (catch-up copies of a whole log, which the pool would otherwise keep
+  // resident for good) are dropped.
   size_t cap = payload->capacity();
+  if (cap > kPayloadClassBytes[3]) {
+    return;
+  }
   for (size_t cls = 4; cls-- > 0;) {
     if (cap < kPayloadClassBytes[cls]) {
       continue;
@@ -335,21 +420,21 @@ bool Fabric::TryDeliverOnce(const std::shared_ptr<QpState>& qp,
     CompleteWr(qp, *wr, WcStatus::kRemoteAccessError, {});
     return true;
   }
-  std::string& buf = region_it->second.buffer;
+  RegionMemory& buf = region_it->second.buffer;
   if (wr->is_read) {
     if (wr->remote_offset + wr->read_len > buf.size()) {
       CompleteWr(qp, *wr, WcStatus::kRemoteAccessError, {});
       return true;
     }
     CompleteWr(qp, *wr, WcStatus::kSuccess,
-               buf.substr(wr->remote_offset, wr->read_len));
+               buf.CopyOut(wr->remote_offset, wr->read_len));
   } else {
     if (wr->remote_offset + wr->data.size() > buf.size()) {
       CompleteWr(qp, *wr, WcStatus::kRemoteAccessError, {});
       return true;
     }
     // One-sided write: lands in remote memory with no remote CPU.
-    buf.replace(wr->remote_offset, wr->data.size(), wr->data);
+    buf.CopyIn(wr->remote_offset, wr->data);
     CompleteWr(qp, *wr, WcStatus::kSuccess, {});
   }
   return true;

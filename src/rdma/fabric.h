@@ -83,6 +83,38 @@ struct FabricStats {
 
 class QueuePair;
 
+// The bytes of one simulated memory region: an anonymous private mapping,
+// so a fresh region reads as zeros and only the pages that WRs or
+// peer-side copies touch become resident. A 64 MiB log region holding
+// 8 MiB of log costs 8 MiB of host memory, not 64.
+class RegionMemory {
+ public:
+  RegionMemory() = default;
+  explicit RegionMemory(uint64_t size);
+  ~RegionMemory();
+  RegionMemory(RegionMemory&& other) noexcept;
+  RegionMemory& operator=(RegionMemory&& other) noexcept;
+  RegionMemory(const RegionMemory&) = delete;
+  RegionMemory& operator=(const RegionMemory&) = delete;
+
+  uint64_t size() const { return size_; }
+  // Copy of [pos, pos+len), clamped to the region.
+  std::string CopyOut(uint64_t pos, uint64_t len) const;
+  // Overwrites [pos, pos+bytes.size()) in place; a region never changes
+  // size, so the range must lie inside it.
+  void CopyIn(uint64_t pos, std::string_view bytes);
+  // Peer-side local copy of `src`'s contents (sizes may differ; the common
+  // prefix is copied, the rest reads as zeros).
+  void CopyFrom(const RegionMemory& src);
+  // Returns every page to the kernel; the region then reads as zeros again.
+  void Zero();
+
+ private:
+  char* data_ = nullptr;
+  uint64_t size_ = 0;
+  uint64_t mapped_ = 0;  // size_ rounded up to whole pages
+};
+
 class Fabric {
  public:
   // `obs` is optional: with a null registry/tracer the fabric runs
@@ -160,7 +192,7 @@ class Fabric {
 
   // Local (same-node, CPU) access to a region's bytes; used by peer-side
   // logic (mr-map bookkeeping, tests). Fails if the rkey is invalid.
-  Result<std::string*> RegionBuffer(NodeId node, RKey rkey);
+  Result<RegionMemory*> RegionBuffer(NodeId node, RKey rkey);
   Result<uint64_t> RegionSize(NodeId node, RKey rkey) const;
 
   Simulation* sim() const { return sim_; }
@@ -171,7 +203,7 @@ class Fabric {
   friend class QueuePair;
 
   struct Region {
-    std::string buffer;
+    RegionMemory buffer;
     bool valid = true;
   };
 

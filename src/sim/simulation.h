@@ -13,6 +13,8 @@
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -155,6 +157,27 @@ class Simulation {
   void AdvanceTo(SimTime when);
   void Advance(SimTime delta) { AdvanceTo(now_ + delta); }
 
+  // Runs the synchronous work of `parts` independent actors side by side:
+  // part(i) starts at the current time for every i, and the clock ends at
+  // the latest part's end, so the step takes as long as its slowest part,
+  // not the sum of them (the rule DfsCluster::FanOut applies to stripe
+  // legs). Parts may Advance the clock and schedule events but must not
+  // run any; an event a part schedules keeps its own timestamp and fires
+  // after the overlap, like any event a synchronous Advance overtook.
+  template <typename Fn>
+  void Overlap(size_t parts, Fn&& part) {
+    const SimTime start = now_;
+    SimTime end = start;
+    overlapping_ = true;
+    for (size_t i = 0; i < parts; ++i) {
+      now_ = start;
+      part(i);
+      end = std::max(end, now_);
+    }
+    overlapping_ = false;
+    now_ = end;
+  }
+
   size_t pending_events() const { return queue_.size(); }
 
   // Arena/scheduler introspection for benches and regression tests (the
@@ -186,6 +209,7 @@ class Simulation {
   // one is not on the freelist until after invoke returns, so its storage
   // stays stable.
   void FireNode(sim_internal::EventNode* n) {
+    assert(!overlapping_ && "an Overlap part ran an event");
     if (n->when > now_) {
       now_ = n->when;
     }
@@ -212,6 +236,7 @@ class Simulation {
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t heap_callables_ = 0;
+  bool overlapping_ = false;  // inside Overlap: the clock may be rewound
   sim_internal::EventArena arena_;
   sim_internal::EventQueue queue_;
 };

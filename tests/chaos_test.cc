@@ -4,6 +4,7 @@
 // and the seeded random campaign with its safety/liveness invariants.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,7 +97,7 @@ TEST_F(ChaosFabricTest, CompletionDelayDefersCqNotData) {
   sim_.RunUntil(sim_.Now() + Micros(100));
   auto buf = fabric_.RegionBuffer(peer_, *rkey);
   ASSERT_TRUE(buf.ok());
-  EXPECT_EQ((*buf)->substr(0, 7), "durable");
+  EXPECT_EQ((*buf)->CopyOut(0, 7), "durable");
   Completion dummy;
   EXPECT_FALSE(qp.PollCq(&dummy));
   Completion c = WaitCompletion(&qp);
@@ -118,7 +119,7 @@ TEST_F(ChaosFabricTest, NicRetryWindowSurvivesHealedPartition) {
   EXPECT_EQ(fabric_.stats().wr_retry_recoveries, 1u);
   auto buf = fabric_.RegionBuffer(peer_, *rkey);
   ASSERT_TRUE(buf.ok());
-  EXPECT_EQ((*buf)->substr(0, 7), "retried");
+  EXPECT_EQ((*buf)->CopyOut(0, 7), "retried");
 }
 
 TEST_F(ChaosFabricTest, NicRetryWindowPreservesSqOrdering) {
@@ -140,8 +141,8 @@ TEST_F(ChaosFabricTest, NicRetryWindowPreservesSqOrdering) {
   }
   EXPECT_LT(order[0], order[1]);
   auto buf = fabric_.RegionBuffer(peer_, *rkey);
-  EXPECT_EQ((*buf)->substr(8, 4), "data");
-  EXPECT_EQ((*buf)->substr(0, 3), "hdr");
+  EXPECT_EQ((*buf)->CopyOut(8, 4), "data");
+  EXPECT_EQ((*buf)->CopyOut(0, 3), "hdr");
 }
 
 TEST_F(ChaosFabricTest, NicRetryWindowExhaustsToRetryExceeded) {
@@ -485,6 +486,77 @@ TEST_F(ChaosNclTest, PeerKilledMidWindowIsDemotedWithoutLosingAckedAppends) {
   auto contents = (*recovered)->Read(0, (*recovered)->size());
   ASSERT_TRUE(contents.ok());
   EXPECT_EQ(*contents, expect) << "acked appends lost across kill + crash";
+}
+
+TEST_F(ChaosNclTest, FreshPeerCrashDuringCatchUpLegKeepsSurvivingLeg) {
+  // Two members die and are replaced in one step; one of the two fresh
+  // peers then crashes while both bulk copies are in flight. Its leg never
+  // enters the ap-map, the surviving leg does, and with the quorum back the
+  // file keeps taking appends without losing any acked one.
+  StartPeers(5);
+  NclConfig config;
+  config.app_id = "chaos-test";
+  config.default_capacity = 1 << 20;
+  std::string expect;
+  {
+    auto client = MakeClient(config);
+    auto file = client->Create("wal");
+    ASSERT_TRUE(file.ok());
+    for (int i = 0; i < 8; ++i) {
+      std::string rec = "r" + std::to_string(i) + ";";
+      ASSERT_TRUE((*file)->Append(rec).ok());
+      expect += rec;
+    }
+    const std::vector<std::string> members = (*file)->peer_names();
+    ASSERT_EQ(members, (std::vector<std::string>{"p0", "p1", "p2"}));
+    // The spares p3 and p4 take over. Allocation is synchronous, so the
+    // first event after p4 grants its region runs inside the catch-up
+    // wait, with both copies posted: crash p4 there.
+    LogPeer* victim = PeerNamed("p4");
+    const SimTime give_up = sim_.Now() + Seconds(1);
+    bool crashed = false;
+    bool survivor_recorded_first = false;
+    std::function<void()> watch = [&] {
+      if (victim->active_regions() > 0) {
+        victim->Crash();
+        crashed = true;
+        // p3's leg is still in flight: nothing is in the ap-map yet.
+        auto apmap = controller_.GetApMap("chaos-test", "wal");
+        survivor_recorded_first = apmap.ok() && apmap->peers[1] == "p3";
+      } else if (sim_.Now() < give_up) {
+        sim_.Schedule(Micros(1), [&] { watch(); });
+      }
+    };
+    sim_.Schedule(Micros(1), [&] { watch(); });
+    PeerNamed("p1")->Crash();
+    PeerNamed("p2")->Crash();
+    ASSERT_TRUE((*file)->Append("blocked;").ok());
+    expect += "blocked;";
+    EXPECT_TRUE(crashed);
+    EXPECT_FALSE(survivor_recorded_first);
+    EXPECT_EQ((*file)->alive_peers(), 2);
+    EXPECT_EQ(client->peers_replaced(), 1);
+    auto apmap = controller_.GetApMap("chaos-test", "wal");
+    ASSERT_TRUE(apmap.ok());
+    EXPECT_EQ(apmap->peers[0], "p0");
+    EXPECT_EQ(apmap->peers[1], "p3");
+    for (const std::string& name : apmap->peers) {
+      EXPECT_NE(name, "p4");
+    }
+    for (int i = 8; i < 16; ++i) {
+      std::string rec = "r" + std::to_string(i) + ";";
+      ASSERT_TRUE((*file)->Append(rec).ok());
+      expect += rec;
+    }
+    // The app crashes without a clean shutdown.
+  }
+  sim_.RunUntilIdle();
+  auto client2 = MakeClient(config);
+  auto recovered = client2->Recover("wal");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  auto contents = (*recovered)->Read(0, (*recovered)->size());
+  ASSERT_TRUE(contents.ok());
+  EXPECT_EQ(*contents, expect) << "acked appends lost across the failed leg";
 }
 
 // ------------------------------------------------ ChaosEngine + Testbed --

@@ -1,5 +1,5 @@
 // The model checker must (a) certify the safe protocol over the bounded
-// state space and (b) catch each of the three injected bugs from §4.6.
+// state space and (b) catch each of the injected bugs from §4.6.
 #include <gtest/gtest.h>
 
 #include "src/modelcheck/model.h"
@@ -52,6 +52,32 @@ TEST(ModelCheckTest, ApMapBeforeCatchupBugIsCaught) {
   McResult result = CheckNcl(config);
   EXPECT_TRUE(result.violation_found)
       << "checker missed the ap-map-before-catch-up bug";
+}
+
+TEST(ModelCheckTest, BatchReplacementIsSafe) {
+  // Replacing every dead member in one step (catch-ups first, then one
+  // ap-map write) preserves every externalized write on its own, with two
+  // members down at once.
+  McConfig config = SmallConfig();
+  config.max_writes = 3;
+  config.max_peer_crashes = 2;
+  config.spare_peers = 2;
+  config.batch_replacement_only = true;
+  McResult result = CheckNcl(config);
+  EXPECT_FALSE(result.violation_found) << result.violation;
+  EXPECT_TRUE(result.exhausted);
+}
+
+TEST(ModelCheckTest, BatchApMapBeforeCatchupBugIsCaught) {
+  // The same step recording its new peers before their catch-ups.
+  McConfig config = SmallConfig();
+  config.max_peer_crashes = 2;
+  config.spare_peers = 2;
+  config.batch_replacement_only = true;
+  config.bug_apmap_before_catchup = true;
+  McResult result = CheckNcl(config);
+  EXPECT_TRUE(result.violation_found)
+      << "checker missed the batch ap-map-before-catch-up bug";
 }
 
 TEST(ModelCheckTest, SkipRecoveryCatchupBugIsCaught) {

@@ -119,12 +119,12 @@ TEST_F(NclTest, StagedSwitchIsAtomic) {
   StartPeers(1);
   auto grant = peers_[0]->Allocate("app", "f", 1024, 1);
   ASSERT_TRUE(grant.ok());
-  (*fabric_.RegionBuffer(peers_[0]->node(), grant->rkey))->replace(0, 3, "old");
+  (*fabric_.RegionBuffer(peers_[0]->node(), grant->rkey))->CopyIn(0, "old");
 
   auto staged = peers_[0]->AllocateCatchupRegion("app", "f", 1024, 2);
   ASSERT_TRUE(staged.ok());
   (*fabric_.RegionBuffer(peers_[0]->node(), staged->rkey))
-      ->replace(0, 3, "new");
+      ->CopyIn(0, "new");
 
   // Before the switch, recovery still sees the old region.
   auto lookup = peers_[0]->LookupForRecovery("app", "f");
@@ -197,7 +197,7 @@ TEST_F(NclTest, AppendReplicatesToMajorityAndLocally) {
     }
     auto buf = fabric_.RegionBuffer(peer->node(), grant->rkey);
     ASSERT_TRUE(buf.ok());
-    if ((*buf)->substr(kNclRegionHeaderBytes, 11) == "hello world") {
+    if ((*buf)->CopyOut(kNclRegionHeaderBytes, 11) == "hello world") {
       holding++;
     }
   }
@@ -636,6 +636,60 @@ TEST_F(NclTest, RecoveryPhaseSpansPopulated) {
   }
 }
 
+// Recovery catches every reachable peer up at once: the sync-peer phase
+// takes about one staged catch-up, not one per peer. 64 MiB regions make
+// each peer pin a fresh slab for its staging region (~66 ms), the cost
+// that either adds up or overlaps.
+class NclRecoveryOverlapTest : public NclTest {
+ protected:
+  void ExpectSyncPeersCostsOneStagedCatchUp(NclConfig config, int slots) {
+    StartPeers(slots);
+    config.app_id = "test-app";
+    config.default_capacity = 64ull << 20;
+    std::string oracle;
+    {
+      auto client = std::make_unique<NclClient>(
+          config, &fabric_, &controller_, &directory_, app_node_,
+          ObsContext{&metrics_, &tracer_});
+      auto file = client->Create("/wal/1");
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      for (int i = 0; i < 16; ++i) {
+        std::string rec(4096, static_cast<char>('a' + i));
+        oracle += rec;
+        ASSERT_TRUE((*file)->Append(rec).ok());
+      }
+      ASSERT_TRUE((*file)->Drain().ok());
+    }
+    sim_.RunUntilIdle();
+    auto before = tracer_.Snapshot();
+    auto client2 = std::make_unique<NclClient>(
+        config, &fabric_, &controller_, &directory_, app_node_,
+        ObsContext{&metrics_, &tracer_});
+    auto recovered = client2->Recover("/wal/1");
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(Contents(recovered->get()), oracle);
+    auto window = SpanDiff(before, tracer_.Snapshot());
+    const SpanStats& staged = window.at("ncl.catchup.staged");
+    ASSERT_EQ(staged.count, static_cast<uint64_t>(slots));
+    // sync_peers < 1.5x one leg (it also holds the epoch bump and the
+    // ap-map write, 1.8 ms each).
+    EXPECT_LT(window.at("ncl.recover.sync_peers").total * 2,
+              staged.total / staged.count * 3);
+  }
+};
+
+TEST_F(NclRecoveryOverlapTest, Replicated) {
+  ExpectSyncPeersCostsOneStagedCatchUp(NclConfig{}, 3);
+}
+
+TEST_F(NclRecoveryOverlapTest, ErasureCoded) {
+  NclConfig config;
+  config.ec_enabled = true;
+  config.ec = EcGeometry{2, 2, 4096};
+  config.fault_budget = 2;
+  ExpectSyncPeersCostsOneStagedCatchUp(config, 4);
+}
+
 // -------------------------------------------------- Peer failure handling --
 
 TEST_F(NclTest, SinglePeerCrashDoesNotBlockWrites) {
@@ -680,6 +734,73 @@ TEST_F(NclTest, TwoSimultaneousCrashesBlockThenRecover) {
   EXPECT_EQ(Contents(file->get()), "xy");
   EXPECT_EQ((*file)->alive_peers(), 3);
   EXPECT_EQ(client->peers_replaced(), 2);
+}
+
+TEST_F(NclTest, TwoCrashesAreReplacedInOneStep) {
+  // Replacing two dead slots costs one replacement, not two: one epoch
+  // bump, one GetPeers, every new peer pinning its region at once and one
+  // ap-map write naming both (§4.5.2). 64 MiB regions make MR registration
+  // (~66 ms per fresh peer) the cost that either adds up or overlaps.
+  StartPeers(6);
+  const uint64_t kCapacity = 64ull << 20;
+  std::string oracle;
+  {
+    auto client = MakeClient();
+    auto file = client->Create("/wal/1", kCapacity);
+    ASSERT_TRUE(file.ok());
+    auto append = [&](const std::string& rec) {
+      oracle += rec;
+      return (*file)->Append(rec);
+    };
+    ASSERT_TRUE(append(std::string(4096, 'a')).ok());
+
+    // Reference: one peer crashes and is replaced alone.
+    auto before = tracer_.Snapshot();
+    PeerNamed((*file)->peer_names()[0])->Crash();
+    ASSERT_TRUE(append(std::string(4096, 'b')).ok());
+    auto one = SpanDiff(before, tracer_.Snapshot()).at("ncl.replace_slot");
+    ASSERT_EQ(one.count, 1u);
+
+    // Two of the three members crash: the append blocks until both are
+    // replaced — in a single step.
+    const std::vector<std::string> members = (*file)->peer_names();
+    PeerNamed(members[1])->Crash();
+    PeerNamed(members[2])->Crash();
+    auto epoch = controller_.GetAppEpoch("test-app");
+    ASSERT_TRUE(epoch.ok());
+    before = tracer_.Snapshot();
+    SimTime start = sim_.Now();
+    ASSERT_TRUE(append(std::string(4096, 'c')).ok());
+    SimTime blocked = sim_.Now() - start;
+    auto window = SpanDiff(before, tracer_.Snapshot());
+    EXPECT_LT(blocked, one.total * 12 / 10);
+    EXPECT_EQ(window.at("ncl.replace_slot").count, 1u);
+    // One epoch bump, and the ap-map at that epoch names both new peers.
+    // The controller rejects a same-epoch write that changes the peer set,
+    // so that took exactly one ap-map write.
+    auto bumped = controller_.GetAppEpoch("test-app");
+    ASSERT_TRUE(bumped.ok());
+    EXPECT_EQ(*bumped, *epoch + 1);
+    auto apmap = controller_.GetApMap("test-app", "/wal/1");
+    ASSERT_TRUE(apmap.ok());
+    EXPECT_EQ(apmap->epoch, *bumped);
+    ASSERT_EQ(apmap->peers.size(), 3u);
+    EXPECT_EQ(apmap->peers[0], members[0]);
+    EXPECT_NE(apmap->peers[1], apmap->peers[2]);
+    for (int i = 1; i < 3; ++i) {
+      for (const std::string& old : members) {
+        EXPECT_NE(apmap->peers[i], old);
+      }
+    }
+    EXPECT_EQ(client->peers_replaced(), 3);
+    ASSERT_TRUE(append("tail").ok());
+    // The application crashes: the file is dropped without Delete.
+  }
+  sim_.RunUntilIdle();
+  auto client2 = MakeClient();
+  auto recovered = client2->Recover("/wal/1");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(Contents(recovered->get()), oracle);
 }
 
 TEST_F(NclTest, WritesFailWhenNoReplacementAvailable) {
@@ -791,6 +912,67 @@ TEST_F(NclTest, SafeOrderingSurvivesSameScenario) {
   std::string contents = Contents(recovered->get());
   EXPECT_NE(contents.find("b"), std::string::npos)
       << "acked write lost under the safe protocol";
+}
+
+// Two-peer-crash input of the Fig 7(iii) scenario: both dead members are
+// replaced in one step, so the unsafe ordering records two empty peers at
+// once. The old quorum holder then dies and recovery returns nothing.
+TEST_F(NclTest, ApMapBeforeCatchUpLosesDataOnTwoPeerCrash) {
+  StartPeers(5);
+  NclConfig config;
+  config.app_id = "test-app";
+  config.default_capacity = 1 << 20;
+  config.unsafe_apmap_before_catchup = true;
+  config.test_crash_after_apmap_update = true;
+  std::vector<std::string> members;
+  {
+    auto client = MakeClient(config);
+    auto file = client->Create("/wal/1");
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append("a").ok());
+    ASSERT_TRUE((*file)->Append("b").ok());
+    members = (*file)->peer_names();
+    PeerNamed(members[1])->Crash();
+    PeerNamed(members[2])->Crash();
+    EXPECT_EQ((*file)->Append("c").code(), StatusCode::kAborted);
+  }
+  sim_.RunUntilIdle();
+  auto apmap = controller_.GetApMap("test-app", "/wal/1");
+  ASSERT_TRUE(apmap.ok());
+  EXPECT_EQ(apmap->peers[0], members[0]);
+  PeerNamed(members[0])->Crash();
+
+  auto client2 = MakeClient(config);
+  auto recovered = client2->Recover("/wal/1");
+  ASSERT_TRUE(recovered.ok());
+  // Acked writes "a" and "b" are gone.
+  EXPECT_EQ(Contents(recovered->get()), "");
+}
+
+TEST_F(NclTest, SafeOrderingSurvivesTwoPeerCrash) {
+  StartPeers(5);
+  NclConfig config;
+  config.app_id = "test-app";
+  config.default_capacity = 1 << 20;
+  std::vector<std::string> members;
+  {
+    auto client = MakeClient(config);
+    auto file = client->Create("/wal/1");
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append("a").ok());
+    ASSERT_TRUE((*file)->Append("b").ok());
+    members = (*file)->peer_names();
+    PeerNamed(members[1])->Crash();
+    PeerNamed(members[2])->Crash();
+    ASSERT_TRUE((*file)->Append("c").ok());
+  }
+  sim_.RunUntilIdle();
+  PeerNamed(members[0])->Crash();
+
+  auto client2 = MakeClient(config);
+  auto recovered = client2->Recover("/wal/1");
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(Contents(recovered->get()), "abc");
 }
 
 TEST_F(NclTest, MemoryRevocationTreatedAsPeerFailure) {

@@ -55,13 +55,13 @@ TEST_F(RdmaTest, OneSidedWriteLandsInRemoteMemory) {
   EXPECT_EQ(c.status, WcStatus::kSuccess);
   auto buf = fabric_.RegionBuffer(peer_, *rkey);
   ASSERT_TRUE(buf.ok());
-  EXPECT_EQ((*buf)->substr(8, 5), "hello");
+  EXPECT_EQ((*buf)->CopyOut(8, 5), "hello");
 }
 
 TEST_F(RdmaTest, OneSidedReadReturnsData) {
   auto rkey = fabric_.RegisterRegion(peer_, 64);
   ASSERT_TRUE(rkey.ok());
-  (*fabric_.RegionBuffer(peer_, *rkey))->replace(0, 4, "data");
+  (*fabric_.RegionBuffer(peer_, *rkey))->CopyIn(0, "data");
   QueuePair qp(&fabric_, app_, peer_);
   qp.PostRead(*rkey, 0, 4);
   Completion c = WaitCompletion(&qp);
@@ -84,7 +84,7 @@ TEST_F(RdmaTest, SendQueueOrderingPreserved) {
     EXPECT_EQ(c.wr_id, ids[i]) << "completion out of post order";
     EXPECT_EQ(c.status, WcStatus::kSuccess);
   }
-  EXPECT_EQ((*fabric_.RegionBuffer(peer_, *rkey))->substr(0, 1), "e");
+  EXPECT_EQ((*fabric_.RegionBuffer(peer_, *rkey))->CopyOut(0, 1), "e");
 }
 
 TEST_F(RdmaTest, BatchedWritesCompleteInOrderWithOneDoorbell) {
@@ -110,7 +110,7 @@ TEST_F(RdmaTest, BatchedWritesCompleteInOrderWithOneDoorbell) {
     EXPECT_EQ(c.status, WcStatus::kSuccess);
   }
   // SQ ordering: the last WR in the chain wrote last.
-  EXPECT_EQ((*fabric_.RegionBuffer(peer_, *rkey))->substr(0, 1), "d");
+  EXPECT_EQ((*fabric_.RegionBuffer(peer_, *rkey))->CopyOut(0, 1), "d");
 }
 
 TEST_F(RdmaTest, DoorbellBatchingReducesPostCost) {
@@ -231,7 +231,7 @@ TEST_F(RdmaTest, InFlightWriteSurvivesInitiatorCrash) {
   sim_.RunUntilIdle();
   auto buf = fabric_.RegionBuffer(peer_, *rkey);
   ASSERT_TRUE(buf.ok());
-  EXPECT_EQ((*buf)->substr(0, 6), "landed");
+  EXPECT_EQ((*buf)->CopyOut(0, 6), "landed");
 }
 
 TEST_F(RdmaTest, WriteLatencyMatchesModel) {
@@ -267,6 +267,39 @@ TEST_F(RdmaTest, DeregisterFreesRegion) {
   EXPECT_FALSE(fabric_.RegionBuffer(peer_, *rkey).ok());
   EXPECT_EQ(fabric_.DeregisterRegion(peer_, *rkey).code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(RdmaTest, RecycledRegionReadsZeroAndKeepsMemsetCost) {
+  const uint64_t size = 3 * 4096 + 100;  // not page aligned
+  auto rkey = fabric_.RegisterRegion(peer_, size);
+  ASSERT_TRUE(rkey.ok());
+  auto buf = fabric_.RegionBuffer(peer_, *rkey);
+  ASSERT_TRUE(buf.ok());
+  EXPECT_EQ((*buf)->CopyOut(0, size), std::string(size, '\0'));
+  (*buf)->CopyIn(size - 5, "tail!");
+  (*buf)->CopyIn(4096, "page");
+  SimTime before = sim_.Now();
+  auto fresh = fabric_.RecycleRegion(peer_, *rkey);
+  ASSERT_TRUE(fresh.ok());
+  // The modelled ~12 GB/s memset, whatever the host does to zero pages.
+  EXPECT_EQ(sim_.Now() - before, static_cast<SimTime>(size / 12.0));
+  auto recycled = fabric_.RegionBuffer(peer_, *fresh);
+  ASSERT_TRUE(recycled.ok());
+  EXPECT_EQ((*recycled)->size(), size);
+  EXPECT_EQ((*recycled)->CopyOut(0, size), std::string(size, '\0'));
+}
+
+TEST_F(RdmaTest, RegionCopyFromMatchesSourceAndClearsStaleBytes) {
+  auto a = fabric_.RegisterRegion(peer_, 4 * 4096);
+  auto b = fabric_.RegisterRegion(peer_, 4 * 4096);
+  ASSERT_TRUE(a.ok() && b.ok());
+  RegionMemory* src = *fabric_.RegionBuffer(peer_, *a);
+  RegionMemory* dst = *fabric_.RegionBuffer(peer_, *b);
+  dst->CopyIn(2 * 4096, "stale");
+  src->CopyIn(7, "x");
+  src->CopyIn(3 * 4096 + 1, "yz");
+  dst->CopyFrom(*src);
+  EXPECT_EQ(dst->CopyOut(0, dst->size()), src->CopyOut(0, src->size()));
 }
 
 // Parameterized sweep: payload size vs modeled latency monotonicity.

@@ -101,6 +101,34 @@ TEST(SimulationTest, EventBeforeAdvancedClockRunsAtCurrentTime) {
   EXPECT_EQ(observed, Micros(100));
 }
 
+TEST(SimulationTest, OverlapTakesTheSlowestPartNotTheSum) {
+  Simulation sim;
+  sim.Advance(Micros(100));
+  std::vector<SimTime> starts;
+  std::vector<std::pair<SimTime, int>> fired;
+  sim.Overlap(3, [&](size_t i) {
+    starts.push_back(sim.Now());
+    sim.Advance(Micros(10) * static_cast<SimTime>(i + 1));
+    // Each part's event keeps its own part-local timestamp.
+    int part = static_cast<int>(i);
+    sim.Schedule(Micros(1), [&fired, &sim, part] {
+      fired.emplace_back(sim.Now(), part);
+    });
+  });
+  EXPECT_EQ(starts, (std::vector<SimTime>(3, Micros(100))));
+  EXPECT_EQ(sim.Now(), Micros(130));
+  sim.Schedule(Micros(1), [&fired, &sim] { fired.emplace_back(sim.Now(), 3); });
+  sim.RunUntilIdle();
+  // Events the parts scheduled fire after the overlap, in their own
+  // timestamp order, ahead of one scheduled after it.
+  ASSERT_EQ(fired.size(), 4u);
+  EXPECT_EQ(fired[0].second, 0);
+  EXPECT_EQ(fired[1].second, 1);
+  EXPECT_EQ(fired[2].second, 2);
+  EXPECT_EQ(fired[2].first, Micros(131));
+  EXPECT_EQ(fired[3], std::make_pair(Micros(131), 3));
+}
+
 TEST(SimParamsTest, DfsSmallWriteMatchesPaperFig1d) {
   SimParams params;
   // 512 B synchronous write ~ 2.1 ms  =>  ~249 KB/s as in Fig 1(d).
