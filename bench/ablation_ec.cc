@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,7 @@ constexpr uint64_t kCapacity = 1 << 20;
 
 struct Mode {
   std::string name;
-  bool ec = false;
-  EcGeometry geometry = {};
+  std::optional<EcGeometry> ec;  // replication when empty
 };
 
 struct ModeResult {
@@ -53,10 +53,7 @@ NclConfig ConfigFor(const Mode& mode, int tenant) {
   config.app_id = "ab-ec-" + mode.name + "-" + std::to_string(tenant);
   config.default_capacity = kCapacity;
   config.fault_budget = 2;  // equal f across every mode
-  if (mode.ec) {
-    config.ec_enabled = true;
-    config.ec = mode.geometry;
-  }
+  config.ec = mode.ec;
   return config;
 }
 
@@ -159,9 +156,9 @@ int main() {
   bench::Rule();
 
   std::vector<Mode> modes = {
-      {"replication", false, {}},
-      {"ec_k2m2", true, EcGeometry{2, 2, 64}},
-      {"ec_k4m2", true, EcGeometry{4, 2, 64}},
+      {"replication", std::nullopt},
+      {"ec_k2m2", EcGeometry{2, 2, 64}},
+      {"ec_k4m2", EcGeometry{4, 2, 64}},
   };
   ModeResult replication;
   ModeResult ec_k2m2;

@@ -35,11 +35,11 @@ int main() {
   }
   const char* ec_env = std::getenv("SPLITFT_CHAOS_EC");
   if (ec_env != nullptr && ec_env[0] != '\0' && ec_env[0] != '0') {
-    options.with_ec = true;
+    options.ec = EcGeometry{};
     // k+m members plus spares so replacements stay possible under crashes.
     options.num_peers = 7;
-    std::printf("  (ec mode: k=%u+m=%u striped regions)\n", options.ec.k,
-                options.ec.m);
+    std::printf("  (ec mode: k=%u+m=%u striped regions)\n", options.ec->k,
+                options.ec->m);
   }
   CampaignResult result = RunChaosCampaign(options);
 
@@ -91,13 +91,6 @@ int main() {
         .Scalar("reconfig_ops_completed", s.reconfig_ops_completed)
         .Scalar("reconfig_ops_skipped", s.reconfig_ops_skipped)
         .Scalar("regions_migrated", static_cast<double>(s.regions_migrated));
-  }
-  if (options.with_ec) {
-    std::printf("  ec shard repairs:         %llu\n",
-                static_cast<unsigned long long>(s.ec_repairs));
-    reporter.AddSeries("campaign.ec", "runs")
-        .FromValue(s.runs, static_cast<uint64_t>(s.runs))
-        .Scalar("ec_repairs", static_cast<double>(s.ec_repairs));
   }
   if (!reporter.WriteJson()) {
     return 1;

@@ -29,6 +29,7 @@
 #include "src/ncl/connection_pool.h"
 #include "src/ncl/ncl_client.h"
 #include "src/ncl/peer.h"
+#include "src/ncl/redundancy.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 
@@ -51,13 +52,9 @@ struct Tenant {
 // tracks whatever redundancy the sweep point configured instead of
 // hard-coding the 3x replication factor.
 double ExpectedBytesPerTenant(const NclConfig& config) {
-  if (config.ec_enabled) {
-    return static_cast<double>(config.ec.shards()) *
-           NclShardRegionBytes(
-               config.ec.ShardCapacity(config.default_capacity));
-  }
-  return static_cast<double>(2 * config.fault_budget + 1) *
-         NclRegionBytes(config.default_capacity);
+  Redundancy scheme(config.fault_budget, config.ec);
+  return static_cast<double>(scheme.width()) *
+         scheme.RegionBytes(config.default_capacity);
 }
 
 // Builds `n` tenants drawing QPs from the testbed's shared pool, each
@@ -71,7 +68,6 @@ bool MakeTenants(Testbed& testbed, int n, int warm_appends, bool ec,
     config.default_capacity = 8 << 10;
     config.pool = testbed.shared_pool();
     if (ec) {
-      config.ec_enabled = true;
       config.ec = EcGeometry{2, 2, 64};
       config.fault_budget = 2;
     }

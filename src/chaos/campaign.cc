@@ -13,6 +13,7 @@
 #include "src/ncl/ncl_client.h"
 #include "src/ncl/peer.h"
 #include "src/ncl/peer_directory.h"
+#include "src/ncl/redundancy.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/rdma/fabric.h"
@@ -86,10 +87,9 @@ NclConfig MakeConfig(const CampaignOptions& options, uint64_t rng_seed) {
   config.default_capacity = options.capacity;
   config.retry = options.retry;
   config.rng_seed = rng_seed;
-  if (options.with_ec) {
-    config.ec_enabled = true;
-    config.ec = options.ec;
-    config.fault_budget = static_cast<int>(options.ec.m);
+  config.ec = options.ec;
+  if (options.ec) {
+    config.fault_budget = static_cast<int>(options.ec->m);
   }
   return config;
 }
@@ -97,15 +97,14 @@ NclConfig MakeConfig(const CampaignOptions& options, uint64_t rng_seed) {
 // Faulty members the run may absorb before unavailability is justified:
 // f under replication, the m parity shards under EC.
 int FaultBudget(const CampaignOptions& options) {
-  return options.with_ec ? static_cast<int>(options.ec.m)
-                         : options.fault_budget;
+  Redundancy scheme(options.fault_budget, options.ec);
+  return scheme.width() - scheme.ack_quorum();
 }
 
-// Holders that make a recovery failure a violation: f+1 replicas suffice
-// to recover, k shard streams do under EC.
+// Holders that make a recovery failure a violation: an ack quorum (f+1
+// replicas, or k shard streams under EC) suffices to recover.
 int RecoverableHolders(const CampaignOptions& options) {
-  return options.with_ec ? static_cast<int>(options.ec.k)
-                         : options.fault_budget + 1;
+  return Redundancy(options.fault_budget, options.ec).ack_quorum();
 }
 
 void AddViolation(CampaignResult* result, uint64_t seed,
@@ -150,7 +149,6 @@ struct ClientCounters {
   uint64_t controller_rpc_retries = 0;
   uint64_t directory_lookup_retries = 0;
   uint64_t release_failures = 0;
-  uint64_t ec_repairs = 0;
 };
 
 ClientCounters ReadClientCounters(const MetricsRegistry& metrics) {
@@ -166,7 +164,6 @@ ClientCounters ReadClientCounters(const MetricsRegistry& metrics) {
   c.directory_lookup_retries =
       metrics.CounterValue("ncl.client.directory_lookup_retries");
   c.release_failures = metrics.CounterValue("ncl.client.release_failures");
-  c.ec_repairs = metrics.CounterValue("ncl.ec.repairs");
   return c;
 }
 
@@ -183,7 +180,6 @@ void Accumulate(CampaignStats* stats, const ClientCounters& now,
   stats->directory_lookup_retries +=
       now.directory_lookup_retries - base.directory_lookup_retries;
   stats->release_failures += now.release_failures - base.release_failures;
-  stats->ec_repairs += now.ec_repairs - base.ec_repairs;
 }
 
 }  // namespace

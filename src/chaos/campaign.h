@@ -15,6 +15,7 @@
 #define SRC_CHAOS_CAMPAIGN_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,14 +44,14 @@ struct CampaignOptions {
   // lose acknowledged appends either.
   bool with_reconfig = false;
   ReconfigPlanOptions reconfig_plan;
-  // Erasure-coded runs (DESIGN.md §16): the workload and recovery clients
-  // stripe each append across ec.k data + ec.m parity shard peers instead
-  // of replicating on 2f+1. The fault-budget invariant then uses m — EC
-  // tolerates exactly m shard losses — and recovery unavailability is
-  // justified only when fewer than k members still hold their shard.
-  // num_peers must cover ec.k + ec.m members plus replacement spares.
-  bool with_ec = false;
-  EcGeometry ec = {};
+  // Erasure-coded runs (DESIGN.md §16): when set, the workload and
+  // recovery clients stripe each append across ec->k data + ec->m parity
+  // shard peers instead of replicating on 2f+1. The fault-budget invariant
+  // then uses m — EC tolerates exactly m shard losses — and recovery
+  // unavailability is justified only when fewer than k members still hold
+  // their shard. num_peers must cover k + m members plus replacement
+  // spares.
+  std::optional<EcGeometry> ec = std::nullopt;
   // Client-side transient-fault policy for the runs.
   RetryPolicy retry = RetryPolicy::Transient(6, Millis(8));
   // NIC-level retransmission window (RdmaParams::unreachable_retry_timeout).
@@ -91,8 +92,6 @@ struct CampaignStats {
   uint64_t controller_rpc_retries = 0;
   uint64_t directory_lookup_retries = 0;
   uint64_t release_failures = 0;
-  // "ncl.ec.repairs" total (with_ec runs): shard rebuilds on fresh peers.
-  uint64_t ec_repairs = 0;
 };
 
 struct CampaignResult {

@@ -75,11 +75,10 @@ std::unique_ptr<AppServer> Testbed::MakeServer(const std::string& app_id,
   config.fault_budget = options_.fault_budget;
   config.default_capacity = options.ncl_capacity;
   config.pool = options.pool;
-  config.ec_enabled = options.ncl_ec;
-  if (options.ncl_ec) {
-    config.ec = options.ncl_ec_geometry;
+  config.ec = options.ncl_ec;
+  if (config.ec) {
     // f follows the parity width: EC tolerates exactly m shard losses.
-    config.fault_budget = static_cast<int>(config.ec.m);
+    config.fault_budget = static_cast<int>(config.ec->m);
   }
   int ncl_window = options.ncl_window;
   if (ncl_window == 0) {

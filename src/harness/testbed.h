@@ -6,6 +6,7 @@
 #define SRC_HARNESS_TESTBED_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,12 +72,11 @@ struct ServerOptions {
   // DFS periodic-flusher override: -1 derives it from the mode (weak
   // servers start the OS-style flusher), 0 never starts it, 1 always does.
   int dfs_flusher = -1;
-  // Erasure-coded NCL regions (DESIGN.md §16): appends are striped across
-  // ncl_ec.k data + ncl_ec.m parity shard peers instead of being fully
-  // replicated on 2f+1. Tolerates f = ncl_ec.m failures at (k+m)/k× peer
-  // memory.
-  bool ncl_ec = false;
-  EcGeometry ncl_ec_geometry = {};
+  // Erasure-coded NCL regions (DESIGN.md §16): when set, appends are
+  // striped across ncl_ec->k data + ncl_ec->m parity shard peers instead of
+  // being fully replicated on 2f+1. Tolerates f = ncl_ec->m failures at
+  // (k+m)/k× peer memory.
+  std::optional<EcGeometry> ncl_ec = std::nullopt;
 };
 
 // One application-server process: its dfs mount, SplitFs instance, and the

@@ -13,6 +13,7 @@ namespace splitft {
 NclClient::NclClient(NclConfig config, Fabric* fabric, Controller* controller,
                      PeerDirectory* directory, NodeId node, ObsContext obs)
     : config_(std::move(config)),
+      redundancy_(config_.fault_budget, config_.ec),
       fabric_(fabric),
       controller_(controller),
       directory_(directory),
@@ -32,8 +33,7 @@ NclClient::NclClient(NclConfig config, Fabric* fabric, Controller* controller,
       c_peers_replaced_(obs.counter("ncl.client.peers_replaced")),
       c_suffix_reposts_(obs.counter("ncl.client.suffix_reposts")),
       c_regions_migrated_(obs.counter("ncl.client.regions_migrated")),
-      c_ec_repairs_(obs.counter("ncl.ec.repairs")),
-      g_ec_degraded_(obs.gauge("ncl.ec.degraded_stripes")),
+      g_degraded_(obs.gauge("ncl.ec.degraded_stripes")),
       g_inflight_(obs.gauge("ncl.append.inflight")),
       h_record_ns_(obs.histogram("ncl.record.latency_ns")),
       h_recover_ns_(obs.histogram("ncl.recover.latency_ns")) {
@@ -45,34 +45,10 @@ NclClient::NclClient(NclConfig config, Fabric* fabric, Controller* controller,
     pool_ = owned_pool_.get();
   }
   pool_->RegisterClient();
-  init_status_ = ValidateConfig();
-}
-
-Status NclClient::ValidateConfig() {
-  if (!config_.ec_enabled) {
-    return OkStatus();
-  }
-  RETURN_IF_ERROR(ValidateEcGeometry(config_.ec));
-  if (static_cast<int>(config_.ec.m) < config_.fault_budget) {
-    return InvalidArgumentError(
-        "ec: m=" + std::to_string(config_.ec.m) +
-        " parity shards cannot cover fault_budget f=" +
-        std::to_string(config_.fault_budget) + "; need m >= f");
-  }
-  // Geometry vs registry: k+m distinct peers must exist or every Create
-  // would only fail later, at allocation time, with a misleading
-  // kUnavailable. The registry query is best effort — if the controller is
-  // in an outage window the check is skipped rather than guessed.
-  auto peers = RetryControllerRpc([&] {
-    return controller_->GetPeers(config_.ec.shards(), 0, {});
+  init_status_ = redundancy_.Validate(config_.fault_budget, [&](uint32_t n) {
+    return RetryControllerRpc([&] { return controller_->GetPeers(n, 0, {}); })
+        .status();
   });
-  if (!peers.ok() && peers.status().code() == StatusCode::kUnavailable) {
-    return InvalidArgumentError(
-        "ec: geometry k+m=" + std::to_string(config_.ec.shards()) +
-        " exceeds the reachable log peers (" + peers.status().message() +
-        ")");
-  }
-  return OkStatus();
 }
 
 NclClient::~NclClient() {
@@ -124,8 +100,8 @@ Result<std::unique_ptr<NclFile>> NclClient::Create(const std::string& file,
   std::unique_ptr<NclFile> out(new NclFile(this, file, capacity));
   out->epoch_ = *epoch;
 
-  // One peer at a time (each slot's shard role is its index).
-  for (int i = 0; i < n_peers(); ++i) {
+  // One peer at a time (each slot's lane is its index).
+  for (int i = 0; i < redundancy_.width(); ++i) {
     Status shortfall;
     std::vector<NclFile::PeerSlot> got =
         out->AllocateFreshSlots(1, out->ever_used_, &shortfall);
@@ -134,7 +110,7 @@ Result<std::unique_ptr<NclFile>> NclClient::Create(const std::string& file,
       // no recorded ap-map entry (tested in ncl_gc tests).
       return shortfall;
     }
-    got[0].shard_index = static_cast<uint32_t>(i);
+    got[0].lane = static_cast<uint32_t>(i);
     out->ever_used_.insert(got[0].peer_name);
     out->slots_.push_back(std::move(got[0]));
   }
@@ -219,27 +195,9 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
   if (!apmap.ok()) {
     return apmap.status();
   }
-  // Mode fence: the ap-map records the stripe geometry the file was
-  // written with; recovering it under a different one would misinterpret
-  // every shard region.
-  const bool ec = config_.ec_enabled;
-  if (ec) {
-    if (apmap->ec_k != config_.ec.k || apmap->ec_m != config_.ec.m ||
-        apmap->ec_stripe_unit != config_.ec.stripe_unit) {
-      return FailedPreconditionError(
-          "ncl file " + file + " has ap-map geometry k=" +
-          std::to_string(apmap->ec_k) + ",m=" + std::to_string(apmap->ec_m) +
-          ",unit=" + std::to_string(apmap->ec_stripe_unit) +
-          " but the client is configured for k=" +
-          std::to_string(config_.ec.k) + ",m=" + std::to_string(config_.ec.m) +
-          ",unit=" + std::to_string(config_.ec.stripe_unit));
-    }
-  } else if (apmap->ec_k != 0) {
-    return FailedPreconditionError(
-        "ncl file " + file +
-        " is erasure-coded; configure the client with the matching ec "
-        "geometry to recover it");
-  }
+  // Geometry fence: the ap-map records the scheme the file was written
+  // with; recovering it under another would misinterpret every lane.
+  RETURN_IF_ERROR(redundancy_.CheckApMap(*apmap, file));
 
   // Phase 2: contact the peers; each either grants the region or rejects
   // (it crashed and lost its mr-map, §4.5.1). Directory lookups come first
@@ -255,7 +213,7 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
       NclFile::PeerSlot slot;
       slot.peer_name = name;
       slot.alive = false;
-      slot.shard_index = index++;
+      slot.lane = index++;
       out->ever_used_.insert(name);
       out->slots_.push_back(std::move(slot));
       peers.push_back(LookupPeerWithRetry(name));
@@ -275,28 +233,26 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
       slot.rkey = grant->rkey;
       slot.qp = pool_->Connect(peer->node());
       slot.alive = true;
-      // Back out the logical capacity from the per-slot region size: a
-      // shard holds a k-th of the (group-rounded) content space.
-      uint64_t slot_capacity =
-          ec ? (grant->region_bytes - kNclEcHeaderBytes) * config_.ec.k
-             : grant->region_bytes - kNclRegionHeaderBytes;
-      out->capacity_ = std::max(out->capacity_, slot_capacity);
+      // Back out the logical capacity from the per-slot region size (a
+      // shard holds a k-th of the group-rounded content space).
+      out->capacity_ = std::max(out->capacity_,
+                                redundancy_.CapacityFor(grant->region_bytes));
     });
-    if (out->alive_peers() < ack_quorum()) {
+    if (out->alive_peers() < redundancy_.ack_quorum()) {
       // Too many peers lost the region (more than f replicas / more than m
       // shards): correctly make the file unavailable rather than lose
       // acknowledged writes (§4.2).
       return UnavailableError("only " + std::to_string(out->alive_peers()) +
-                              " of " + std::to_string(n_peers()) +
+                              " of " + std::to_string(redundancy_.width()) +
                               " peers hold " + file);
     }
   }
 
-  // Phase 3: read headers from all reachable peers; wait for a quorum
-  // (f+1 replicas, or any k shard streams in EC mode).
+  // Phase 3: read headers from all reachable peers and wait for an ack
+  // quorum of answers; claim a tail and rebuild the contents from k lane
+  // streams.
   {
   ObsSpan phase(obs_.tracer, "ncl.recover.rdma_read");
-  const uint64_t header_bytes = out->HeaderBytes();
   struct HeaderRead {
     int slot_idx;
     uint64_t wr_id;
@@ -312,18 +268,9 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
     }
     HeaderRead hr;
     hr.slot_idx = static_cast<int>(i);
-    hr.wr_id = slot.qp->PostRead(slot.rkey, 0, header_bytes);
+    hr.wr_id = slot.qp->PostRead(slot.rkey, 0, redundancy_.header_bytes());
     reads.push_back(hr);
   }
-  auto count_done = [&reads] {
-    int done = 0;
-    for (const HeaderRead& hr : reads) {
-      if (hr.done) {
-        done++;
-      }
-    }
-    return done;
-  };
   // A false return (simulation ran out of events with reads pending) is
   // subsumed by the quorum check below: stalled readers stay !done.
   sim->RunUntilPredicate([&] {
@@ -339,26 +286,15 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
           break;
         }
         if (c.wr_id == hr.wr_id) {
-          if (ec) {
-            NclShardHeader h = NclShardHeader::Decode(c.read_data);
-            // A never-written region decodes all-zero (seq 0): accept it
-            // as empty. A written header must carry the file's geometry
-            // and this slot's shard role; anything else is a stale or
-            // foreign region and the slot cannot be trusted.
-            if (h.seq != 0 &&
-                (h.k != config_.ec.k || h.m != config_.ec.m ||
-                 h.stripe_unit != config_.ec.stripe_unit ||
-                 h.shard_index != slot.shard_index)) {
-              slot.alive = false;
-              break;
-            }
-            hr.seq = h.seq;
-            hr.length = h.length;
-          } else {
-            NclRegionHeader h = NclRegionHeader::Decode(c.read_data);
-            hr.seq = h.seq;
-            hr.length = h.length;
+          // A header naming another geometry or lane is a stale or foreign
+          // region, and the slot cannot be trusted.
+          auto h = redundancy_.DecodeHeader(c.read_data, slot.lane);
+          if (!h) {
+            slot.alive = false;
+            break;
           }
+          hr.seq = h->seq;
+          hr.length = h->length;
           hr.done = true;
         }
       }
@@ -372,166 +308,83 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
     }
     return pending == 0;
   });
-  if (count_done() < ack_quorum()) {
-    return UnavailableError(ec
-                                ? "fewer than k shard peers answered "
-                                  "recovery reads"
-                                : "fewer than f+1 peers answered recovery "
-                                  "reads");
+  // Freshest first; ties keep slot order.
+  std::vector<const HeaderRead*> done_reads;
+  for (const HeaderRead& hr : reads) {
+    if (hr.done) {
+      done_reads.push_back(&hr);
+    }
   }
-
-  if (!ec) {
-    // The maximum sequence number across f+1 (here: all) responses is the
-    // most up-to-date state (§4.5.1).
-    int best = -1;
-    uint64_t best_seq = 0;
-    uint64_t best_length = 0;
-    for (const HeaderRead& hr : reads) {
-      if (hr.done && (best < 0 || hr.seq > best_seq)) {
-        best = hr.slot_idx;
-        best_seq = hr.seq;
-        best_length = hr.length;
-      }
-    }
-    out->recovery_slot_ = best;
-    out->seq_ = best_seq;
-    out->length_ = best_length;
-
-    // Fetch the full contents from the recovery peer. In prefetch mode
-    // this also becomes the buffer that serves application reads (Fig 11a).
-    if (out->length_ > 0) {
-      NclFile::PeerSlot& rslot = out->slots_[best];
-      uint64_t wr = rslot.qp->PostRead(rslot.rkey, kNclRegionHeaderBytes,
-                                       out->length_);
-      Completion c;
-      bool got = sim->RunUntilPredicate([&] {
-        Completion tmp;
-        while (rslot.qp->PollCq(&tmp)) {
-          if (tmp.wr_id == wr) {
-            c = tmp;
-            return true;
-          }
-        }
-        return false;
-      });
-      if (!got || c.status != WcStatus::kSuccess) {
-        return UnavailableError("recovery peer failed during region read");
-      }
-      out->buffer_ = std::move(c.read_data);
-    }
-    out->serve_reads_locally_ = config_.prefetch_on_recovery;
-  } else {
-    // EC late-binding recovery (DESIGN.md §16): every acknowledged append
-    // landed on at least k shards, so among any set of responders the
-    // k-th largest shard seq is at least the committed watermark — and
-    // in-order shard delivery means the k freshest responders can each
-    // serve every stripe up to that seq. Reconstruct the logical prefix
-    // at S = k-th largest seq from exactly those k shard streams.
-    std::vector<const HeaderRead*> done_reads;
-    for (const HeaderRead& hr : reads) {
-      if (hr.done) {
-        done_reads.push_back(&hr);
-      }
-    }
-    // Freshest first; ties broken by slot index for determinism.
-    std::stable_sort(done_reads.begin(), done_reads.end(),
-                     [](const HeaderRead* a, const HeaderRead* b) {
-                       return a->seq > b->seq;
-                     });
-    const uint32_t k = config_.ec.k;
-    const HeaderRead* floor_read = done_reads[k - 1];
-    const uint64_t floor_seq = floor_read->seq;
-    // Choose the k streams to decode from among the responders at or above
-    // the claim floor. A data shard at any seq >= S serves its lane
-    // verbatim over the whole claimed prefix (append-only), so data shards
-    // are always exact — take the freshest. A parity shard that ran past S
-    // has folded later appends into the tail stripe group's columns, so
-    // when parity must be used, take the *stalest* still >= S: that keeps
-    // the parity state at or below every chosen data state whenever the
-    // responder set allows, which is exactly the condition under which the
-    // decode is column-consistent (DESIGN.md §16).
-    std::vector<const HeaderRead*> chosen;
-    for (const HeaderRead* hr : done_reads) {
-      if (chosen.size() < k && hr->seq >= floor_seq &&
-          out->slots_[hr->slot_idx].shard_index < k) {
-        chosen.push_back(hr);
-      }
-    }
-    for (auto it = done_reads.rbegin(); it != done_reads.rend(); ++it) {
-      if (chosen.size() < k && (*it)->seq >= floor_seq &&
-          out->slots_[(*it)->slot_idx].shard_index >= k) {
-        chosen.push_back(*it);
-      }
-    }
-    done_reads = std::move(chosen);
-    out->seq_ = floor_read->seq;
-    out->length_ = floor_read->length;
-    out->recovery_slot_ = done_reads[0]->slot_idx;
-
-    if (out->length_ > 0) {
-      // Pull each chosen shard's content prefix and decode. Data shards
-      // ahead of S only differ beyond logical length_ (EC files are
-      // append-only); the chooser above keeps any parity stream as close
-      // to S as the responders allow, so the mixed-seq decode stays
-      // column-consistent (see DESIGN.md §16 for the residual corner).
-      const uint64_t shard_len = config_.ec.ShardCapacity(out->length_);
-      struct ShardFetch {
-        int slot_idx;
-        uint64_t wr_id;
-        bool done = false;
-        std::string data;
-      };
-      std::vector<ShardFetch> fetches;
-      for (const HeaderRead* hr : done_reads) {
-        NclFile::PeerSlot& slot = out->slots_[hr->slot_idx];
-        ShardFetch f;
-        f.slot_idx = hr->slot_idx;
-        f.wr_id = slot.qp->PostRead(slot.rkey, kNclEcHeaderBytes, shard_len);
-        fetches.push_back(std::move(f));
-      }
-      bool failed = false;
-      bool got = sim->RunUntilPredicate([&] {
-        int pending = 0;
-        for (ShardFetch& f : fetches) {
-          if (f.done) {
-            continue;
-          }
-          NclFile::PeerSlot& slot = out->slots_[f.slot_idx];
-          Completion c;
-          while (slot.qp->PollCq(&c)) {
-            if (c.status != WcStatus::kSuccess) {
-              failed = true;
-              return true;
-            }
-            if (c.wr_id == f.wr_id) {
-              f.data = std::move(c.read_data);
-              f.done = true;
-            }
-          }
-          if (!f.done) {
-            pending++;
-          }
-        }
-        return pending == 0;
-      });
-      if (!got || failed) {
-        return UnavailableError("recovery shard read failed");
-      }
-      std::vector<EcShardView> views;
-      for (const ShardFetch& f : fetches) {
-        views.push_back(EcShardView{out->slots_[f.slot_idx].shard_index,
-                                    std::string_view(f.data)});
-      }
-      Status decoded = EcReconstruct(config_.ec, views, out->length_,
-                                     &out->buffer_);
-      if (!decoded.ok()) {
-        return decoded;
-      }
-    }
-    // A single shard peer cannot serve logical reads; EC recovery always
-    // materializes the local buffer and serves from it.
-    out->serve_reads_locally_ = true;
+  if (static_cast<int>(done_reads.size()) < redundancy_.ack_quorum()) {
+    return UnavailableError("fewer than " +
+                            std::to_string(redundancy_.ack_quorum()) +
+                            " peers answered recovery reads");
   }
+  std::stable_sort(done_reads.begin(), done_reads.end(),
+                   [](const HeaderRead* a, const HeaderRead* b) {
+                     return a->seq > b->seq;
+                   });
+  // The claim (§4.5.1, DESIGN.md §16): every acknowledged append landed on
+  // an ack quorum of lanes, so the k-th largest responding seq S is at
+  // least the committed watermark — the maximum for replication (k = 1) —
+  // and in-order delivery lets the k freshest responders each serve every
+  // append up to S.
+  const uint32_t k = redundancy_.k();
+  const HeaderRead* floor_read = done_reads[k - 1];
+  // Choose the k streams to decode from among the responders at or above
+  // S. A data lane at any seq >= S serves its bytes verbatim over the
+  // whole claimed prefix, so data lanes go freshest first (for
+  // replication: the first max-seq slot in slot order). A parity shard
+  // that ran past S has folded later appends into the tail stripe group's
+  // columns, so parity goes *stalest* first: that keeps the parity state
+  // at or below every chosen data state whenever the responder set
+  // allows, which is exactly when the decode is column-consistent.
+  std::vector<const HeaderRead*> chosen;
+  auto choose = [&](const HeaderRead* hr, bool data) {
+    if (chosen.size() < k && hr->seq >= floor_read->seq &&
+        redundancy_.IsDataLane(out->slots_[hr->slot_idx].lane) == data) {
+      chosen.push_back(hr);
+    }
+  };
+  for (const HeaderRead* hr : done_reads) {
+    choose(hr, true);
+  }
+  for (auto it = done_reads.rbegin(); it != done_reads.rend(); ++it) {
+    choose(*it, false);
+  }
+  out->seq_ = floor_read->seq;
+  out->length_ = floor_read->length;
+  out->recovery_slot_ = chosen[0]->slot_idx;
+
+  if (out->length_ > 0) {
+    // Pull every chosen lane's content prefix at once and decode (see
+    // DESIGN.md §16 for the residual mixed-seq corner).
+    std::vector<NclFile::Leg> legs(chosen.size());
+    std::vector<uint32_t> lanes;
+    for (size_t i = 0; i < chosen.size(); ++i) {
+      NclFile::PeerSlot* slot = &out->slots_[chosen[i]->slot_idx];
+      legs[i].slot = slot;
+      legs[i].wanted.push_back(
+          slot->qp->PostRead(slot->rkey, redundancy_.header_bytes(),
+                             redundancy_.LaneBytes(out->length_)));
+      lanes.push_back(slot->lane);
+    }
+    out->AwaitLegs(&legs);
+    std::vector<std::string> streams;
+    for (NclFile::Leg& leg : legs) {
+      if (!leg.status.ok()) {
+        return UnavailableError("recovery read from " + leg.slot->peer_name +
+                                " failed");
+      }
+      streams.push_back(std::move(leg.read_data));
+    }
+    RETURN_IF_ERROR(
+        redundancy_.Decode(lanes, &streams, out->length_, &out->buffer_));
+  }
+  // Without prefetch, reads go to the recovery peer one RDMA read at a
+  // time (Fig 11a) — possible only where one lane holds the whole file.
+  out->serve_reads_locally_ =
+      config_.prefetch_on_recovery || !redundancy_.single_slot_reads();
   }
 
   // Phase 4: catch every reachable peer up with the recovered state via
@@ -548,7 +401,7 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
     out->epoch_ = *epoch;
     if (!config_.unsafe_skip_recovery_catchup) {
       out->CatchUpViaStagedRegions(out->SlotsWhere(true));
-      if (out->alive_peers() < ack_quorum()) {
+      if (out->alive_peers() < redundancy_.ack_quorum()) {
         return UnavailableError("peers failed during recovery catch-up");
       }
     } else {
@@ -635,74 +488,42 @@ void NclFile::RefreshPeerNames() {
 Status NclFile::WriteApMap() {
   ApMapEntry entry;
   entry.epoch = epoch_;
-  entry.peers = peer_names_;
-  if (ec()) {
-    // Slot order is shard-role order: peers[i] holds shard i.
-    entry.ec_k = ec_geometry().k;
-    entry.ec_m = ec_geometry().m;
-    entry.ec_stripe_unit = ec_geometry().stripe_unit;
-  }
+  entry.peers = peer_names_;  // slot order is lane order
+  scheme().StampApMap(&entry);
   return client_->RetryControllerRpc([&] {
     return client_->controller_->SetApMap(client_->config_.app_id, name_,
                                           entry);
   });
 }
 
-// ---- Erasure-coding helpers (DESIGN.md §16) --------------------------------
-
-uint64_t NclFile::HeaderBytes() const {
-  return ec() ? kNclEcHeaderBytes : kNclRegionHeaderBytes;
-}
-
-uint64_t NclFile::SlotRegionBytes() const {
-  return ec() ? NclShardRegionBytes(ec_geometry().ShardCapacity(capacity_))
-              : NclRegionBytes(capacity_);
-}
-
-EcShardRange NclFile::ShardRangeFor(uint32_t shard_index, uint64_t offset,
-                                    uint64_t length) const {
-  const EcGeometry& geo = ec_geometry();
-  return shard_index < geo.k ? DataShardRange(geo, shard_index, offset, length)
-                             : ParityShardRange(geo, offset, length);
-}
-
-EcShardRange NclFile::FullShardRange() const {
-  return EcShardRange{0, ec_geometry().ShardCapacity(length_)};
-}
-
-void NclFile::EncodeShardRange(uint32_t shard_index, const EcShardRange& range,
-                               std::string* out) const {
-  const EcGeometry& geo = ec_geometry();
-  if (shard_index < geo.k) {
-    ExtractDataShard(geo, shard_index, buffer_, range, out);
-  } else {
-    EncodeParityShard(geo, shard_index - geo.k, buffer_, range, out);
+std::vector<QueuePair::WriteOp> NclFile::FullStateOps(const PeerSlot& slot,
+                                                      RKey rkey,
+                                                      std::string* scratch,
+                                                      char* header) const {
+  // Data before header (§4.4 ordering: the header's arrival implies the
+  // contents').
+  std::vector<QueuePair::WriteOp> ops;
+  Redundancy::Chunk image = scheme().EncodeImage(slot.lane, buffer_, scratch);
+  if (!image.bytes.empty()) {
+    ops.push_back(QueuePair::WriteOp{
+        rkey, scheme().header_bytes() + image.offset, image.bytes});
   }
-}
-
-void NclFile::EncodeSlotHeader(uint32_t shard_index, char* out) const {
-  if (ec()) {
-    const EcGeometry& geo = ec_geometry();
-    NclShardHeader{seq_, length_, geo.k, geo.m, shard_index, geo.stripe_unit}
-        .EncodeTo(out);
-  } else {
-    NclRegionHeader{seq_, length_}.EncodeTo(out);
-  }
+  scheme().EncodeHeader(seq_, length_, slot.lane, header);
+  ops.push_back(QueuePair::WriteOp{
+      rkey, 0, std::string_view(header, scheme().header_bytes())});
+  return ops;
 }
 
 void NclFile::UpdateDegradedGauge() {
-  if (!ec()) {
-    return;
-  }
   // How far the most-degraded slot trails the commit watermark. A dead
   // slot's acked_seq freezes where it died, so the gauge grows while the
-  // stripe set is degraded and snaps back once repair (ReplaceSlots)
-  // re-encodes the shard onto a fresh peer.
+  // file is degraded and snaps back once ReplaceSlots catches a fresh peer
+  // up in its place.
   uint64_t min_acked = committed_seq_;
   for (const PeerSlot& slot : slots_) {
     min_acked = std::min(min_acked, std::min(slot.acked_seq, committed_seq_));
   }
-  ObsSet(client_->g_ec_degraded_,
+  ObsSet(client_->g_degraded_,
          static_cast<int64_t>(committed_seq_ - min_acked));
 }
 
@@ -740,7 +561,7 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
   }
   const NclConfig& config = client_->config_;
   bool truncate = data.empty() && offset == 0;
-  if (config.ec_enabled && !truncate && offset < length_) {
+  if (scheme().append_only() && !truncate && offset < length_) {
     // Degraded EC recovery reconstructs the prefix from shard streams at
     // mixed sequence numbers; that is only column-consistent when writes
     // never go back over committed bytes (DESIGN.md §16). Truncate stays
@@ -770,14 +591,12 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
   seq_++;
   window_.push_back(WindowEntry{seq_, offset, data.size(), truncate,
                                 record_start});
-  const bool is_ec = config.ec_enabled;
-  const uint64_t header_bytes = HeaderBytes();
-  char header[kNclEcHeaderBytes];
-  EncodeSlotHeader(0, header);
+  const uint64_t header_bytes = scheme().header_bytes();
+  char header[Redundancy::kMaxHeaderBytes];
   std::string_view header_view(header, header_bytes);
-  // EC: shard payload for the slot currently being posted. The chain post
-  // copies it into pooled WR buffers, so one scratch serves every slot.
-  std::string shard_scratch;
+  // Coded lanes encode into this scratch; the chain post copies payloads
+  // into pooled WR buffers, so one scratch serves every slot.
+  std::string lane_scratch;
 
   int posted = 0;
   for (PeerSlot& slot : slots_) {
@@ -790,47 +609,33 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
         posted >= config.test_crash_after_posting) {
       break;
     }
-    // One WR chain per peer, one doorbell: data + header in SQ order, so
-    // the header's arrival implies the data's (§4.4). The last WR of the
-    // chain carries the seq the ack commits. In replication mode
-    // everything stays on the stack — the chain post copies payloads into
-    // pooled WR buffers, so a steady-state append performs no heap
-    // allocation. In EC mode each peer gets its shard's slice (lane
-    // extraction or parity encoding) instead of the full payload, and the
-    // header carries the slot's shard role; a short append can miss a data
-    // lane entirely, in which case the slot still gets the header WR so
+    // One WR chain per peer, one doorbell: the lane's chunk of the data,
+    // then the header, in SQ order, so the header's arrival implies the
+    // data's (§4.4). The last WR of the chain carries the seq the ack
+    // commits. A replica's chunk is a view of the buffer and a shard's is
+    // its lane extraction or parity encoding; the chain post copies either
+    // into pooled WR buffers, so a steady-state replicated append performs
+    // no heap allocation. A chunk can be empty (a truncate, or a short
+    // append missing a data lane); the slot still gets the header WR so
     // its watermark advances.
-    std::string_view payload = data;
-    uint64_t remote_offset = header_bytes + offset;
-    bool have_data = !truncate;
-    if (is_ec) {
-      EncodeFixed32(header + 24, slot.shard_index);
-      if (have_data) {
-        EcShardRange range =
-            ShardRangeFor(slot.shard_index, offset, data.size());
-        if (range.empty()) {
-          have_data = false;
-        } else {
-          EncodeShardRange(slot.shard_index, range, &shard_scratch);
-          payload = shard_scratch;
-          remote_offset = header_bytes + range.begin;
-        }
-      }
-    }
+    Redundancy::Chunk chunk =
+        scheme().Encode(slot.lane, buffer_, offset, data.size(), &lane_scratch);
+    scheme().EncodeHeader(seq_, length_, slot.lane, header);
+    const QueuePair::WriteOp header_op{slot.rkey, 0, header_view};
     QueuePair::WriteOp ops[2];
     size_t nops = 0;
+    // BUG (for §4.6 validation) with unsafe_seq_before_data: the header
+    // lands before the data; a peer holding the header but not the data
+    // can win recovery.
     if (config.unsafe_seq_before_data) {
-      // BUG (for §4.6 validation): header lands before the data; a peer
-      // holding the header but not the data can win recovery.
-      ops[nops++] = QueuePair::WriteOp{slot.rkey, 0, header_view};
-      if (have_data) {
-        ops[nops++] = QueuePair::WriteOp{slot.rkey, remote_offset, payload};
-      }
-    } else {
-      if (have_data) {
-        ops[nops++] = QueuePair::WriteOp{slot.rkey, remote_offset, payload};
-      }
-      ops[nops++] = QueuePair::WriteOp{slot.rkey, 0, header_view};
+      ops[nops++] = header_op;
+    }
+    if (!chunk.bytes.empty()) {
+      ops[nops++] = QueuePair::WriteOp{slot.rkey, header_bytes + chunk.offset,
+                                       chunk.bytes};
+    }
+    if (!config.unsafe_seq_before_data) {
+      ops[nops++] = header_op;
     }
     uint64_t ids[2];
     slot.qp->PostWriteChain(ops, nops, ids);
@@ -883,7 +688,7 @@ Status NclFile::WaitFor(uint64_t seq) {
     if (committed_seq_ >= target) {
       break;
     }
-    if (alive_peers() < client_->ack_quorum()) {
+    if (alive_peers() < scheme().ack_quorum()) {
       // Too many peers failed (more than f replicas, or more than m shard
       // holders in EC mode): writes block until replacements are caught up
       // (§4.5.2). One replacement step costs one peer's replacement however
@@ -891,17 +696,16 @@ Status NclFile::WaitFor(uint64_t seq) {
       // goes in it; otherwise just enough to regain an ack quorum.
       size_t count = config.eager_peer_replacement
                          ? slots_.size()
-                         : static_cast<size_t>(client_->ack_quorum() -
+                         : static_cast<size_t>(scheme().ack_quorum() -
                                                alive_peers());
       Status replaced = ReplaceSlots(SlotsWhere(false, count));
       if (replaced.code() == StatusCode::kAborted) {
         return replaced;  // test hook: simulated app crash
       }
-      if (alive_peers() < client_->ack_quorum()) {
+      if (alive_peers() < scheme().ack_quorum()) {
         return UnavailableError(
-            client_->config_.ec_enabled
-                ? "fewer than k shard peers are available"
-                : "more than f log peers are unavailable");
+            "fewer than " + std::to_string(scheme().ack_quorum()) +
+            " log peers are available");
       }
       AdvanceCommitWatermark();  // replacements ack the full tail
       continue;
@@ -952,7 +756,7 @@ uint64_t NclFile::ComputeCommittedSeq() const {
       acked.push_back(slot.acked_seq);
     }
   }
-  int maj = client_->ack_quorum();
+  int maj = scheme().ack_quorum();
   if (static_cast<int>(acked.size()) < maj) {
     return committed_seq_;
   }
@@ -1020,47 +824,37 @@ bool NclFile::PostSuffix(PeerSlot* slot) {
     return false;  // history pruned past the gap
   }
   slot->inflight.clear();
-  const uint64_t header_bytes = HeaderBytes();
+  const uint64_t header_bytes = scheme().header_bytes();
   std::vector<QueuePair::WriteOp> ops;
-  // EC: each replayed range is re-encoded into this slot's shard; the
-  // encoded chunks must outlive the PostWriteBatch call (which copies them
-  // out), so they accumulate here rather than in one reused scratch. The
-  // reserve is load-bearing: ops holds string_views into these strings, and
-  // a reallocation would move the small (SSO) ones out from under them.
-  std::vector<std::string> shard_scratch;
-  shard_scratch.reserve(window_.size());
-  std::string_view buffer_view(buffer_);
+  // Each replayed range is encoded into the slot's lane; coded chunks must
+  // outlive the PostWriteBatch call (which copies them out), so they
+  // accumulate here rather than in one reused scratch. The reserve is
+  // load-bearing: ops holds string_views into these strings, and a
+  // reallocation would move the small (SSO) ones out from under them.
+  std::vector<std::string> lane_scratch;
+  lane_scratch.reserve(window_.size());
   for (const WindowEntry& entry : window_) {
     if (entry.seq <= slot->acked_seq || entry.truncate || entry.len == 0) {
       continue;
     }
     // Replay from the *current* buffer: later overwrites of the same range
     // only make the replayed bytes newer, and the final header commits the
-    // current (seq_, length_) snapshot. The ops view buffer_ directly; the
-    // chain post copies the ranges out before returning.
+    // current (seq_, length_) snapshot.
     uint64_t end = std::min<uint64_t>(entry.offset + entry.len,
                                       buffer_.size());
     if (entry.offset >= end) {
       continue;
     }
-    if (ec()) {
-      EcShardRange range =
-          ShardRangeFor(slot->shard_index, entry.offset, end - entry.offset);
-      if (range.empty()) {
-        continue;  // this append missed the slot's lane entirely
-      }
-      shard_scratch.emplace_back();
-      EncodeShardRange(slot->shard_index, range, &shard_scratch.back());
-      ops.push_back(QueuePair::WriteOp{slot->rkey, header_bytes + range.begin,
-                                       shard_scratch.back()});
-      continue;
+    Redundancy::Chunk chunk =
+        scheme().Encode(slot->lane, buffer_, entry.offset, end - entry.offset,
+                        &lane_scratch.emplace_back());
+    if (!chunk.bytes.empty()) {  // a short append can miss a data lane
+      ops.push_back(QueuePair::WriteOp{
+          slot->rkey, header_bytes + chunk.offset, chunk.bytes});
     }
-    ops.push_back(QueuePair::WriteOp{
-        slot->rkey, header_bytes + entry.offset,
-        buffer_view.substr(entry.offset, end - entry.offset)});
   }
-  char header[kNclEcHeaderBytes];
-  EncodeSlotHeader(slot->shard_index, header);
+  char header[Redundancy::kMaxHeaderBytes];
+  scheme().EncodeHeader(seq_, length_, slot->lane, header);
   ops.push_back(QueuePair::WriteOp{
       slot->rkey, 0, std::string_view(header, header_bytes)});
   std::vector<uint64_t> ids = slot->qp->PostWriteBatch(std::move(ops));
@@ -1164,27 +958,11 @@ void NclFile::RepostSuspect(PeerSlot* slot) {
 
 void NclFile::PostFullState(PeerSlot* slot) {
   slot->inflight.clear();
-  // Full-state post, data before header (§4.4 ordering still applies: the
-  // header's arrival implies the contents'), chained behind one doorbell.
-  // EC mode ships this slot's full shard instead of the whole buffer.
-  const uint64_t header_bytes = HeaderBytes();
-  std::vector<QueuePair::WriteOp> ops;
-  std::string shard_scratch;
-  if (ec()) {
-    EcShardRange range = FullShardRange();
-    if (!range.empty()) {
-      EncodeShardRange(slot->shard_index, range, &shard_scratch);
-      ops.push_back(QueuePair::WriteOp{slot->rkey, header_bytes + range.begin,
-                                       shard_scratch});
-    }
-  } else if (!buffer_.empty()) {
-    ops.push_back(QueuePair::WriteOp{slot->rkey, header_bytes, buffer_});
-  }
-  char header[kNclEcHeaderBytes];
-  EncodeSlotHeader(slot->shard_index, header);
-  ops.push_back(QueuePair::WriteOp{
-      slot->rkey, 0, std::string_view(header, header_bytes)});
-  std::vector<uint64_t> ids = slot->qp->PostWriteBatch(std::move(ops));
+  // Full-state post chained behind one doorbell.
+  std::string scratch;
+  char header[Redundancy::kMaxHeaderBytes];
+  std::vector<uint64_t> ids = slot->qp->PostWriteBatch(
+      FullStateOps(*slot, slot->rkey, &scratch, header));
   for (size_t k = 0; k < ids.size(); ++k) {
     slot->inflight.emplace_back(ids[k], k + 1 == ids.size() ? seq_ : 0);
   }
@@ -1237,16 +1015,6 @@ SimTime NclFile::NextSuspectRetryAt() const {
   return earliest;
 }
 
-int NclFile::CountAcked(uint64_t seq) const {
-  int acked = 0;
-  for (const PeerSlot& slot : slots_) {
-    if (slot.alive && slot.acked_seq >= seq) {
-      acked++;
-    }
-  }
-  return acked;
-}
-
 std::vector<NclFile::PeerSlot*> NclFile::SlotsWhere(bool alive,
                                                     size_t limit) {
   std::vector<PeerSlot*> out;
@@ -1259,26 +1027,15 @@ std::vector<NclFile::PeerSlot*> NclFile::SlotsWhere(bool alive,
 }
 
 void NclFile::PostBulkCatchUp(Leg* leg) {
-  PeerSlot* slot = leg->slot;
   leg->span = "ncl.catchup.bulk";
   leg->posted_at = client_->fabric_->sim()->Now();
-  const uint64_t header_bytes = HeaderBytes();
-  std::string shard_scratch;
-  if (ec()) {
-    EcShardRange range = FullShardRange();
-    if (!range.empty()) {
-      EncodeShardRange(slot->shard_index, range, &shard_scratch);
-      leg->wanted.push_back(slot->qp->PostWrite(
-          leg->target, header_bytes + range.begin, shard_scratch));
-    }
-  } else if (!buffer_.empty()) {
+  std::string scratch;
+  char header[Redundancy::kMaxHeaderBytes];
+  for (const QueuePair::WriteOp& op :
+       FullStateOps(*leg->slot, leg->target, &scratch, header)) {
     leg->wanted.push_back(
-        slot->qp->PostWrite(leg->target, header_bytes, buffer_));
+        leg->slot->qp->PostWrite(op.rkey, op.remote_offset, op.data));
   }
-  char header[kNclEcHeaderBytes];
-  EncodeSlotHeader(slot->shard_index, header);
-  leg->wanted.push_back(slot->qp->PostWrite(
-      leg->target, 0, std::string_view(header, header_bytes)));
 }
 
 void NclFile::AwaitLegs(std::vector<Leg>* legs) {
@@ -1407,26 +1164,18 @@ void NclFile::CatchUpViaStagedRegions(const std::vector<PeerSlot*>& slots) {
 
   if (config.diff_catchup) {
     // §4.5.1 optimization: clone each peer's current region locally on the
-    // peer and ship only the bytewise difference. The diff target is the
-    // slot's image: the logical buffer, or in EC mode its encoded shard.
-    const uint64_t header_bytes = HeaderBytes();
-    std::vector<std::string> shards(legs.size());
-    auto image = [&](size_t i) -> std::string_view {
-      if (ec()) {
-        return shards[i];
-      }
-      return std::string_view(buffer_).substr(
-          0, std::min<uint64_t>(length_, capacity_));
-    };
+    // peer and ship only the bytewise difference from the slot's lane
+    // image of the buffer.
+    const uint64_t header_bytes = scheme().header_bytes();
+    std::vector<std::string> scratch(legs.size());
+    std::vector<std::string_view> images(legs.size());
     // First read every peer's current contents, to diff against.
     for (size_t i = 0; i < legs.size(); ++i) {
       PeerSlot* slot = legs[i].slot;
-      if (ec() && !FullShardRange().empty()) {
-        EncodeShardRange(slot->shard_index, FullShardRange(), &shards[i]);
-      }
-      if (legs[i].status.ok() && !image(i).empty()) {
+      images[i] = scheme().EncodeImage(slot->lane, buffer_, &scratch[i]).bytes;
+      if (legs[i].status.ok() && !images[i].empty()) {
         legs[i].wanted.push_back(
-            slot->qp->PostRead(slot->rkey, header_bytes, image(i).size()));
+            slot->qp->PostRead(slot->rkey, header_bytes, images[i].size()));
       }
     }
     AwaitLegs(&legs);
@@ -1444,7 +1193,7 @@ void NclFile::CatchUpViaStagedRegions(const std::vector<PeerSlot*>& slots) {
       if (!leg.status.ok()) {
         continue;
       }
-      std::string_view local = image(i);
+      std::string_view local = images[i];
       leg.wanted.clear();
       leg.done = 0;
       for (const DiffRange& r : ComputeDiffRanges(leg.read_data, local)) {
@@ -1452,8 +1201,8 @@ void NclFile::CatchUpViaStagedRegions(const std::vector<PeerSlot*>& slots) {
             leg.slot->qp->PostWrite(leg.target, header_bytes + r.offset,
                                     local.substr(r.offset, r.len)));
       }
-      char header[kNclEcHeaderBytes];
-      EncodeSlotHeader(leg.slot->shard_index, header);
+      char header[Redundancy::kMaxHeaderBytes];
+      scheme().EncodeHeader(seq_, length_, leg.slot->lane, header);
       leg.wanted.push_back(leg.slot->qp->PostWrite(
           leg.target, 0, std::string_view(header, header_bytes)));
     }
@@ -1528,15 +1277,11 @@ Status NclFile::ReplaceSlots(const std::vector<PeerSlot*>& dead) {
   if (fresh.empty()) {
     return status;
   }
-  // Each successor inherits its failed slot's shard role: slot order is
-  // shard-role order (ap-map contract), and the catch-up below re-encodes
-  // exactly that shard from the local buffer. In EC mode this IS
-  // background repair — the lost shard is rebuilt on a fresh peer.
+  // Each successor inherits its failed slot's lane: slot order is lane
+  // order (ap-map contract), and the catch-up below encodes exactly that
+  // lane from the local buffer — a replica copy, or a lost shard rebuilt.
   for (size_t i = 0; i < fresh.size(); ++i) {
-    fresh[i].shard_index = dead[i]->shard_index;
-  }
-  if (ec()) {
-    ObsAdd(client->c_ec_repairs_, fresh.size());
+    fresh[i].lane = dead[i]->lane;
   }
 
   std::vector<Leg> legs(fresh.size());
@@ -1724,9 +1469,9 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
     return shortfall;
   }
   PeerSlot fresh = std::move(got[0]);
-  // Planned moves keep the shard role too: the target takes over exactly
-  // the source's lane in the stripe geometry.
-  fresh.shard_index = slot->shard_index;
+  // Planned moves keep the lane too: the target takes over exactly the
+  // source's lane.
+  fresh.lane = slot->lane;
 
   // Phase 1: snapshot copy. Appends re-entering through simulation events
   // while the copy is in flight keep landing on the *old* membership, so
@@ -1810,8 +1555,8 @@ Result<std::string> NclFile::Read(uint64_t offset, uint64_t len) {
     sim->Advance(params.MemReadLatency(len));
     return buffer_.substr(offset, len);
   }
-  uint64_t wr = slot.qp->PostRead(slot.rkey, kNclRegionHeaderBytes + offset,
-                                  len);
+  uint64_t wr =
+      slot.qp->PostRead(slot.rkey, scheme().header_bytes() + offset, len);
   std::string data;
   bool failed = false;
   bool ok = sim->RunUntilPredicate([&] {

@@ -1,19 +1,21 @@
 // ncl-lib: the application-side NCL library (§4.2–§4.5).
 //
-// NclClient manages one application instance's ncl files. NclFile implements
-// the replication protocol:
-//   * every application write becomes two ordered RDMA WRITE WRs per peer
-//     (data, then the sequence-number header);
-//   * a write is acknowledged once a majority (f+1) of the n = 2f+1 peers
-//     have completed it *and every preceding write* (in-order majority
-//     replication);
+// NclClient manages one application instance's ncl files. NclFile runs the
+// one NCL protocol over the file's redundancy scheme (src/ncl/redundancy.h:
+// replication is the identity code with k = 1 on 2f+1 lanes, erasure coding
+// k data + m parity lanes):
+//   * every application write becomes one ordered RDMA WRITE chain per
+//     lane: the lane's chunk of the data, then the sequence-number header;
+//   * a write is acknowledged once an ack quorum of lanes (f+1 replicas, or
+//     the first k shards) have completed it *and every preceding write*;
 //   * peer failures are detected via WR errors; the failed peer is replaced
 //     with a fresh one, which is caught up from the local buffer *before*
 //     the ap-map is updated (§4.5.2, Fig 7iii);
-//   * recovery reads the header from at least f+1 peers, picks the maximum
-//     sequence number, prefetches the region from that recovery peer, and
-//     atomically catches every reachable peer up before returning data to
-//     the application (§4.5.1, Fig 7i–ii).
+//   * recovery reads the headers from at least a quorum of peers, claims
+//     the k-th largest sequence number (the maximum for replication),
+//     rebuilds the file from k lane streams at or above it, and atomically
+//     catches every reachable peer up before returning data to the
+//     application (§4.5.1, Fig 7i–ii).
 #ifndef SRC_NCL_NCL_CLIENT_H_
 #define SRC_NCL_NCL_CLIENT_H_
 
@@ -35,7 +37,7 @@
 #include "src/ncl/ec.h"
 #include "src/ncl/peer.h"
 #include "src/ncl/peer_directory.h"
-#include "src/ncl/region_format.h"
+#include "src/ncl/redundancy.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/retry.h"
 
@@ -66,8 +68,8 @@ struct NclConfig {
   // controller's availability is a hint; peers may reject).
   int allocation_attempts = 8;
 
-  // Erasure-coded regions (DESIGN.md §16). When enabled, every ncl file is
-  // striped as ec.k data + ec.m parity shards over k+m peers instead of
+  // Erasure-coded regions (DESIGN.md §16). When set, every ncl file is
+  // striped as ec->k data + ec->m parity shards over k+m peers instead of
   // fully replicated on 2f+1, and an append is acknowledged on the *first
   // k* shard-header completions for it and every preceding append (late
   // binding — the slowest peers drop off the critical path). Durability is
@@ -77,8 +79,7 @@ struct NclConfig {
   // consistently from mixed-seq shards; Truncate is fine — it is
   // header-only). The geometry is validated against fault_budget and the
   // registered-peer count at client construction; see NclClient::status().
-  bool ec_enabled = false;
-  EcGeometry ec;
+  std::optional<EcGeometry> ec = std::nullopt;
 
   // Shared connection pool (DESIGN.md §14). When set, this client draws its
   // peer QPs from the pool (shared with every co-located tenant on the same
@@ -213,18 +214,6 @@ class NclClient {
  private:
   friend class NclFile;
 
-  // Peers per file: k+m shard holders in EC mode, 2f+1 replicas otherwise.
-  int n_peers() const {
-    return config_.ec_enabled ? static_cast<int>(config_.ec.shards())
-                              : 2 * config_.fault_budget + 1;
-  }
-  // Slots that must ack before an append commits: the first k shard
-  // completions in EC mode (late binding), a majority f+1 otherwise.
-  int ack_quorum() const {
-    return config_.ec_enabled ? static_cast<int>(config_.ec.k)
-                              : config_.fault_budget + 1;
-  }
-
   // Directory lookup that retries (under config.retry) while the peer's
   // setup process is momentarily unreachable, instead of treating the
   // first nullptr as a crash.
@@ -257,11 +246,10 @@ class NclClient {
     return r;
   }
 
-  // EC geometry / fault-budget / peer-count validation (run once from the
-  // constructor; result cached in init_status_).
-  Status ValidateConfig();
-
   NclConfig config_;
+  // Width, quorum, lane layout and codec of every file (built once from
+  // config_; validated into init_status_ by the constructor).
+  Redundancy redundancy_;
   Status init_status_;
   Fabric* fabric_;
   Controller* controller_;
@@ -292,10 +280,8 @@ class NclClient {
   Counter* c_peers_replaced_;
   Counter* c_suffix_reposts_;
   Counter* c_regions_migrated_;
-  // EC background repair: shards re-encoded onto replacement peers, and
-  // the current commit-watermark lag of the most-degraded shard slot.
-  Counter* c_ec_repairs_;
-  Gauge* g_ec_degraded_;
+  // Commit-watermark lag of the most-degraded slot.
+  Gauge* g_degraded_;
   Gauge* g_inflight_;
   Histogram* h_record_ns_;
   Histogram* h_recover_ns_;
@@ -314,7 +300,7 @@ class NclFile {
   uint64_t seq() const { return seq_; }
 
   // record() (§4.2): appends at the current end of the log and blocks until
-  // a majority of peers committed it (AppendAsync + WaitFor).
+  // an ack quorum of peers committed it (AppendAsync + WaitFor).
   Status Append(std::string_view data);
 
   // Pipelined append: applies locally, posts the WRs to every alive peer,
@@ -326,14 +312,14 @@ class NclFile {
   Status AppendAsync(std::string_view data);
 
   // Blocks until every append with sequence number <= `seq` is committed on
-  // a majority of peers (clamped to the current tail). The committed prefix
-  // is exactly what recovery is guaranteed to return.
+  // an ack quorum of peers (clamped to the current tail). The committed
+  // prefix is exactly what recovery is guaranteed to return.
   Status WaitFor(uint64_t seq);
 
   // Drains the whole in-flight window: WaitFor(seq()).
   Status Drain();
 
-  // Highest sequence number known committed on a majority (monotonic).
+  // Highest sequence number known committed on a quorum (monotonic).
   uint64_t committed_seq() const { return committed_seq_; }
   // Appends posted but not yet known committed.
   uint64_t inflight() const { return seq_ - committed_seq_; }
@@ -379,10 +365,10 @@ class NclFile {
     SimTime suspect_since = 0;
     SimTime next_retry_at = 0;
     std::optional<RetryState> retry;
-    // EC mode: which shard this slot holds (0..k-1 data, k..k+m-1 parity).
-    // Stable across replacement and migration — the successor peer takes
-    // over the same shard role. Unused in replication mode.
-    uint32_t shard_index = 0;
+    // Which lane of the redundancy scheme this slot holds (EC: 0..k-1 data,
+    // k..k+m-1 parity). Stable across replacement and migration — the
+    // successor peer takes over the same lane.
+    uint32_t lane = 0;
     // Sequence number of the last write fully completed (header landed).
     uint64_t acked_seq = 0;
     // In-flight header WRs: (wr_id of the header WR, seq it commits).
@@ -415,11 +401,10 @@ class NclFile {
   // WR failures: transient ones mark the slot suspect, permanent ones
   // demote it to dead.
   bool PumpCompletions();
-  int CountAcked(uint64_t seq) const;
 
   // ---- Commit watermark & window history ---------------------------------
-  // The committed watermark is the majority-th largest acked_seq among
-  // alive slots, cached monotonically: once a prefix was majority-durable
+  // The committed watermark is the quorum-th largest acked_seq among
+  // alive slots, cached monotonically: once a prefix was quorum-durable
   // it stays committed even if the acking slots die later (their
   // replacements are caught up to the full tail before joining).
   uint64_t ComputeCommittedSeq() const;
@@ -467,16 +452,16 @@ class NclFile {
 
   // ---- Multi-peer steps --------------------------------------------------
   // One peer's part of a step the client runs on several peers at once
-  // (recovery catch-up, slot replacement): the slot it works on, the region
-  // its WRs land in and the WRs it waits for. Legs start together and the
-  // step ends with the slowest; a failed leg drops out without holding up
-  // the others.
+  // (recovery fetch and catch-up, slot replacement): the slot it works on,
+  // the region its WRs land in and the WRs it waits for. Legs start
+  // together and the step ends with the slowest; a failed leg drops out
+  // without holding up the others.
   struct Leg {
     PeerSlot* slot = nullptr;
     RKey target = 0;
     std::vector<uint64_t> wanted;  // WRs whose completions the leg awaits
     size_t done = 0;               // of `wanted`, completed so far
-    std::string read_data;         // a READ's result (diff catch-up)
+    std::string read_data;  // a READ's result (recovery fetch, diff)
     // Async span from posted_at to the leg's last completion, if set.
     const char* span = nullptr;
     SimTime posted_at = 0;
@@ -484,7 +469,7 @@ class NclFile {
   };
   // Slots whose alive flag equals `alive`, in slot order, at most `limit`.
   std::vector<PeerSlot*> SlotsWhere(bool alive, size_t limit = SIZE_MAX);
-  // Posts the current buffer (EC: the leg's shard) + header into the leg's
+  // Posts the slot's lane image of the buffer + header into the leg's
   // target region on its slot's QP, as an "ncl.catchup.bulk" leg.
   void PostBulkCatchUp(Leg* leg);
   // One wait for every leg's outstanding WRs. A WR error or a stalled
@@ -509,32 +494,17 @@ class NclFile {
   Status WriteApMap();
   void RefreshPeerNames();
 
-  // ---- Erasure-coding helpers (DESIGN.md §16) ----------------------------
-  // True when this file stripes shards instead of replicating.
-  bool ec() const { return client_->config_.ec_enabled; }
-  const EcGeometry& ec_geometry() const { return client_->config_.ec; }
-  // Per-slot region header size (32-byte shard header vs 16-byte replica
-  // header) and total per-slot region bytes for the file's capacity.
-  uint64_t HeaderBytes() const;
-  uint64_t SlotRegionBytes() const;
-  // Encodes slot `shard_index`'s bytes for shard range `range` from the
-  // local buffer: lane extraction for data shards, parity encoding for
-  // parity shards.
-  void EncodeShardRange(uint32_t shard_index, const EcShardRange& range,
-                        std::string* out) const;
-  // The shard range a logical write [offset, offset+length) lands on for
-  // `shard_index` (may be empty for data lanes a short append misses).
-  EcShardRange ShardRangeFor(uint32_t shard_index, uint64_t offset,
-                             uint64_t length) const;
-  // Full-state shard image: range [0, ShardCapacity(length_)).
-  EcShardRange FullShardRange() const;
-  // Encodes the per-slot header for the current (seq_, length_) into `out`
-  // (which must hold HeaderBytes()): NclShardHeader in EC mode,
-  // NclRegionHeader otherwise.
-  void EncodeSlotHeader(uint32_t shard_index, char* out) const;
+  const Redundancy& scheme() const { return client_->redundancy_; }
+  uint64_t SlotRegionBytes() const { return scheme().RegionBytes(capacity_); }
+  // The data WR (slot's lane image of the buffer, if any) and header WR a
+  // full-state copy into region `rkey` posts; the ops view `scratch`,
+  // `header` and buffer_.
+  std::vector<QueuePair::WriteOp> FullStateOps(const PeerSlot& slot,
+                                               RKey rkey, std::string* scratch,
+                                               char* header) const;
   // Refreshes the ncl.ec.degraded_stripes gauge: how far the most-degraded
-  // shard slot trails the commit watermark (0 when all slots are caught
-  // up; grows while a dead slot awaits repair).
+  // slot trails the commit watermark (0 when all slots are caught up;
+  // grows while a dead slot awaits replacement).
   void UpdateDegradedGauge();
 
   NclClient* client_;
@@ -543,7 +513,7 @@ class NclFile {
   uint64_t epoch_ = 0;
   uint64_t seq_ = 0;
   uint64_t length_ = 0;
-  // Highest seq known committed on a majority; never regresses.
+  // Highest seq known committed on a quorum; never regresses.
   uint64_t committed_seq_ = 0;
   // Recent appends, oldest first, covering at least (min alive acked, seq_].
   std::deque<WindowEntry> window_;

@@ -1,4 +1,5 @@
-// On-peer memory-region layout for an ncl file.
+// On-peer memory-region layouts of an ncl file's lanes; Redundancy
+// (src/ncl/redundancy.h) picks the one its scheme uses. A replica region:
 //
 //   [0, 8)   sequence number of the last completed write (§4.4)
 //   [8, 16)  committed logical length of the file
@@ -24,14 +25,6 @@ constexpr uint64_t kNclRegionHeaderBytes = 16;
 struct NclRegionHeader {
   uint64_t seq = 0;
   uint64_t length = 0;
-
-  std::string Encode() const {
-    std::string out;
-    out.reserve(kNclRegionHeaderBytes);
-    PutFixed64(&out, seq);
-    PutFixed64(&out, length);
-    return out;
-  }
 
   // Allocation-free encoder for the append hot path: fills exactly
   // kNclRegionHeaderBytes at `out` (a stack buffer).
@@ -120,11 +113,6 @@ struct NclShardHeader {
     return h;
   }
 };
-
-// Total shard-region size needed for `shard_capacity` shard content bytes.
-inline constexpr uint64_t NclShardRegionBytes(uint64_t shard_capacity) {
-  return kNclEcHeaderBytes + shard_capacity;
-}
 
 }  // namespace splitft
 

@@ -30,6 +30,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/common/annotations.h"
 #include "src/common/status.h"
 #include "src/obs/obs.h"
 #include "src/sim/params.h"
@@ -57,28 +58,6 @@ struct Completion {
   WcStatus status = WcStatus::kSuccess;
   // For RDMA READ completions: the data read from the remote region.
   std::string read_data;
-};
-
-// Aggregate transfer statistics, exposed for benches and tests.
-// Deprecated in favor of the ObsContext registry ("fabric.wr.*" counters,
-// which mirror these fields exactly); kept as a compat shim for existing
-// exact-value assertions.
-struct FabricStats {
-  uint64_t writes_posted = 0;
-  uint64_t reads_posted = 0;
-  uint64_t write_bytes = 0;
-  uint64_t read_bytes = 0;
-  uint64_t failed_wrs = 0;
-  // Doorbell rings: one per PostWrite/PostRead, one per PostWriteBatch
-  // chain when doorbell coalescing is enabled. doorbells < writes_posted +
-  // reads_posted measures how much batching the NCL write path achieves.
-  uint64_t doorbells = 0;
-  // NIC-level retransmissions toward unreachable targets (see
-  // RdmaParams::unreachable_retry_timeout).
-  uint64_t wr_retries = 0;
-  // WRs that survived an unreachable window because the fault healed
-  // before the retry budget ran out.
-  uint64_t wr_retry_recoveries = 0;
 };
 
 class QueuePair;
@@ -117,10 +96,14 @@ class RegionMemory {
 
 class Fabric {
  public:
-  // `obs` is optional: with a null registry/tracer the fabric runs
-  // uninstrumented at no cost. Registry keys: "fabric.wr.*" counters plus
-  // async spans "fabric.wr.write" / "fabric.wr.read" spanning post to
-  // completion in sim time.
+  // `obs` is optional: without a registry the fabric keeps its counters in
+  // a private one, and without a tracer it records no spans. Registry keys:
+  // "fabric.wr.*" counters (writes_posted, reads_posted, write_bytes,
+  // read_bytes, failed_wrs; doorbells — one per PostWrite/PostRead, one per
+  // chain with doorbell coalescing; wr_retries — NIC retransmissions toward
+  // unreachable targets; wr_retry_recoveries — WRs whose fault healed
+  // within the retry window) plus async spans "fabric.wr.write" /
+  // "fabric.wr.read" spanning post to completion in sim time.
   Fabric(Simulation* sim, const SimParams* params, ObsContext obs = {});
   ~Fabric();
 
@@ -197,7 +180,10 @@ class Fabric {
 
   Simulation* sim() const { return sim_; }
   const SimParams& params() const { return *params_; }
-  const FabricStats& stats() const { return stats_; }
+  // The registry holding the "fabric.wr.*" counters.
+  const MetricsRegistry& metrics() const SPLITFT_LIFETIMEBOUND {
+    return *obs_.metrics;
+  }
 
  private:
   friend class QueuePair;
@@ -257,7 +243,6 @@ class Fabric {
   std::unordered_map<uint64_t, SimTime> link_delays_;
   std::unordered_map<uint64_t, SimTime> completion_delays_;
   RKey next_rkey_ = 1;
-  FabricStats stats_;
 
   // Payload pool size classes (capacity, in bytes) and per-class freelist
   // cap. Class 0 covers the 16B region header + small records; class 1 the
@@ -266,6 +251,8 @@ class Fabric {
   static constexpr size_t kPayloadPoolCap = 256;
   std::vector<std::string> payload_pool_[4];
 
+  // Owns the registry when constructed without one.
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
   ObsContext obs_;
   Counter* c_writes_posted_;
   Counter* c_reads_posted_;

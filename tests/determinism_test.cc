@@ -54,7 +54,9 @@ RunArtifacts RunSeededChaosScenario(uint64_t seed, bool ec = false) {
   }
   Testbed testbed(options);
   ServerOptions server_options;
-  server_options.ncl_ec = ec;
+  if (ec) {
+    server_options.ncl_ec = EcGeometry{};
+  }
   auto server = testbed.MakeServer("det-app", server_options);
   CHECK_OK(server->start_status);
   SplitOpenOptions opts;

@@ -224,7 +224,6 @@ class EcClusterTest : public ::testing::Test {
     NclConfig config;
     config.app_id = "ec-app";
     config.default_capacity = 1 << 20;
-    config.ec_enabled = true;
     config.ec = EcGeometry{k, m, 64};
     config.fault_budget = static_cast<int>(m);
     return config;
@@ -284,7 +283,7 @@ TEST_F(EcClusterTest, RejectsGeometryWiderThanPeerPool) {
 TEST_F(EcClusterTest, RejectsMalformedGeometry) {
   StartPeers(5);
   NclConfig config = EcConfig(2, 2);
-  config.ec.stripe_unit = 0;
+  config.ec->stripe_unit = 0;
   auto client = MakeClient(config);
   EXPECT_EQ(client->status().code(), StatusCode::kInvalidArgument);
 }
@@ -334,7 +333,7 @@ TEST_F(EcClusterTest, PeerMemoryIsShardSizedNotReplicaSized) {
   // 32-byte header — not a full replica. 4 shard peers at 1/2 each = 2x
   // total for f=2, where replication would pin 3x.
   uint64_t shard_region =
-      kNclEcHeaderBytes + config.ec.ShardCapacity(config.default_capacity);
+      kNclEcHeaderBytes + config.ec->ShardCapacity(config.default_capacity);
   EXPECT_LT(shard_region, config.default_capacity * 3 / 5);
   for (const auto& peer : peers_) {
     EXPECT_EQ(peer->available_bytes(), kLend - shard_region) << peer->name();
@@ -386,7 +385,7 @@ TEST_F(EcClusterTest, DegradedByParityWidthKeepsAcking) {
     }
     ASSERT_TRUE((*file)->Drain().ok());
     // The dead shards were rebuilt on spares (background repair).
-    EXPECT_GE(metrics_.CounterValue("ncl.ec.repairs"), 2u);
+    EXPECT_GE(metrics_.CounterValue("ncl.client.peers_replaced"), 2u);
     EXPECT_GE(client->peers_replaced(), 2);
   }
   auto fresh = MakeClient(EcConfig(2, 2));
@@ -462,7 +461,7 @@ TEST_F(EcClusterTest, DegradedStripesGaugeStaysBoundedAndSnapsBack) {
     ASSERT_TRUE((*file)->Append(std::string(100, 'y')).ok());
   }
   ASSERT_TRUE((*file)->Drain().ok());
-  EXPECT_GE(metrics_.CounterValue("ncl.ec.repairs"), 1u);
+  EXPECT_GE(metrics_.CounterValue("ncl.client.peers_replaced"), 1u);
   EXPECT_LE(GaugeValue("ncl.ec.degraded_stripes"), config.inflight_window);
 }
 
@@ -617,7 +616,7 @@ TEST(EcChaosTest, ShortEcCampaignHoldsInvariants) {
   CampaignOptions options;
   options.seed_from_env = false;
   options.runs = 25;
-  options.with_ec = true;
+  options.ec = EcGeometry{};
   options.num_peers = 7;  // k+m members + spares for repairs
   CampaignResult result = RunChaosCampaign(options);
   for (const CampaignViolation& v : result.violations) {

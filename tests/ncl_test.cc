@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -31,6 +33,11 @@ class NclTest : public ::testing::Test {
   // Client fault counters land in the fixture registry ("ncl.client.*").
   uint64_t ClientCounter(const std::string& name) {
     return metrics_.CounterValue("ncl.client." + name);
+  }
+
+  // A "fabric.wr.*" counter of the fixture's fabric.
+  uint64_t FabricCounter(const std::string& name) {
+    return fabric_.metrics().CounterValue("fabric.wr." + name);
   }
 
   // Creates `n` peers named p0..p{n-1}, started and registered.
@@ -684,7 +691,6 @@ TEST_F(NclRecoveryOverlapTest, Replicated) {
 
 TEST_F(NclRecoveryOverlapTest, ErasureCoded) {
   NclConfig config;
-  config.ec_enabled = true;
   config.ec = EcGeometry{2, 2, 4096};
   config.fault_budget = 2;
   ExpectSyncPeersCostsOneStagedCatchUp(config, 4);
@@ -1093,15 +1099,15 @@ TEST_F(NclTest, DiffCatchupShipsFewerBytesWhenPeersCurrent) {
   }
   sim_.RunUntilIdle();
 
-  uint64_t before_full = fabric_.stats().write_bytes;
+  uint64_t before_full = FabricCounter("write_bytes");
   {
     auto client2 = MakeClient();
     ASSERT_TRUE(client2->Recover("/wal/1").ok());
   }
-  uint64_t full_bytes = fabric_.stats().write_bytes - before_full;
+  uint64_t full_bytes = FabricCounter("write_bytes") - before_full;
 
   sim_.RunUntilIdle();
-  uint64_t before_diff = fabric_.stats().write_bytes;
+  uint64_t before_diff = FabricCounter("write_bytes");
   {
     NclConfig config;
     config.app_id = "test-app";
@@ -1109,10 +1115,89 @@ TEST_F(NclTest, DiffCatchupShipsFewerBytesWhenPeersCurrent) {
     auto client3 = MakeClient(config);
     ASSERT_TRUE(client3->Recover("/wal/1").ok());
   }
-  uint64_t diff_bytes = fabric_.stats().write_bytes - before_diff;
+  uint64_t diff_bytes = FabricCounter("write_bytes") - before_diff;
   // All peers were already up to date: the diff is (nearly) empty while the
   // full-copy catch-up re-ships the whole region to every peer.
   EXPECT_LT(diff_bytes * 10, full_bytes);
+}
+
+// EC 2+2 diff catch-up: recovery diffs a stale shard peer's region against
+// its lane image (not the logical buffer) and ships only the difference.
+// The stale peer is a data lane, and a second recovery that must decode
+// from it and one parity lane returns every acked byte.
+TEST_F(NclTest, EcDiffCatchupRepairsStaleShardPeer) {
+  StartPeers(4);  // exactly k+m: the stale peer is never replaced
+  NclConfig config;
+  config.app_id = "test-app";
+  config.ec = EcGeometry{2, 2, 64};
+  config.fault_budget = 2;
+  // A failed slot stays dead instead of being re-allocated (which would
+  // wipe the stale region) while k slots still ack.
+  config.eager_peer_replacement = false;
+  std::string oracle;
+  std::vector<std::string> members;
+  {
+    auto client = MakeClient(config);
+    auto diff_file = client->Create("/wal/diff");
+    auto full_file = client->Create("/wal/full");
+    ASSERT_TRUE(diff_file.ok()) << diff_file.status().ToString();
+    ASSERT_TRUE(full_file.ok()) << full_file.status().ToString();
+    members = (*diff_file)->peer_names();
+    ASSERT_EQ(members, (*full_file)->peer_names());
+    auto append_both = [&](int i) {
+      std::string payload(500, static_cast<char>('a' + (i % 26)));
+      oracle += payload;
+      ASSERT_TRUE((*diff_file)->Append(payload).ok()) << i;
+      ASSERT_TRUE((*full_file)->Append(payload).ok()) << i;
+    };
+    for (int i = 0; i < 30; ++i) {
+      append_both(i);
+    }
+    // Data lane 1 misses the last appends.
+    fabric_.SetPartitioned(app_node_, PeerNamed(members[1])->node(), true);
+    for (int i = 30; i < 40; ++i) {
+      append_both(i);
+    }
+    ASSERT_TRUE((*diff_file)->Drain().ok());
+    ASSERT_TRUE((*full_file)->Drain().ok());
+    EXPECT_EQ((*diff_file)->alive_peers(), 3);
+  }
+  sim_.RunUntilIdle();
+  fabric_.SetPartitioned(app_node_, PeerNamed(members[1])->node(), false);
+
+  NclConfig diff_config = config;
+  diff_config.diff_catchup = true;
+  auto diff_client = MakeClient(diff_config);
+  uint64_t before_diff = FabricCounter("write_bytes");
+  auto diff = diff_client->Recover("/wal/diff");
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  uint64_t diff_bytes = FabricCounter("write_bytes") - before_diff;
+  EXPECT_EQ(Contents(diff->get()), oracle);
+  EXPECT_EQ((*diff)->alive_peers(), 4);
+
+  auto full_client = MakeClient(config);
+  uint64_t before_full = FabricCounter("write_bytes");
+  auto full = full_client->Recover("/wal/full");
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  uint64_t full_bytes = FabricCounter("write_bytes") - before_full;
+  EXPECT_EQ(Contents(full->get()), oracle);
+  // Three current peers ship only their headers and the stale one its
+  // missing tail; the full catch-up re-ships every lane image.
+  EXPECT_LT(diff_bytes * 4, full_bytes);
+
+  // Second crash: only the caught-up data lane and one parity lane
+  // survive, so recovery must decode from the diffed region.
+  diff->reset();
+  full->reset();
+  diff_client.reset();
+  full_client.reset();
+  sim_.RunUntilIdle();
+  PeerNamed(members[0])->Crash();
+  PeerNamed(members[2])->Crash();
+  auto again_client = MakeClient(diff_config);
+  auto again = again_client->Recover("/wal/diff");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(Contents(again->get()), oracle);
 }
 
 TEST_F(NclTest, NoPrefetchReadsPayPerReadRdmaCost) {
@@ -1150,22 +1235,21 @@ TEST_F(NclTest, NoPrefetchReadsPayPerReadRdmaCost) {
 
 // Regression for the PostSuffix dangling-view bug (the shape deeplint's
 // view-lifetime rule exists for — see tools/deeplint/rules.py and
-// DESIGN.md §17): PostSuffix accumulates per-entry encoded shard chunks
-// in `shard_scratch` while `ops` holds string_views into them. The
-// `shard_scratch.reserve(window_.size())` before the loop is
+// DESIGN.md §17): PostSuffix accumulates per-entry encoded lane chunks
+// in `lane_scratch` while `ops` holds string_views into them. The
+// `lane_scratch.reserve(window_.size())` before the loop is
 // load-bearing — without it, vector growth relocates the small (SSO)
 // chunk strings out from under their views and the replayed suffix
 // bytes are garbage. This test forces exactly that shape: a tiny stripe
-// unit keeps every encoded chunk within SSO, and the >64-entry suffix
-// window would reallocate the scratch vector several times over.
-// Corruption shows up as an oracle mismatch after recovery (and as a
-// heap-use-after-free under the ASan job).
+// unit keeps every encoded chunk within SSO, and the suffix window
+// reallocates the scratch vector several times over. Corruption can show
+// up as an oracle mismatch after recovery, and always shows up as a
+// heap-use-after-free under ASan (the ncl_suffix_scratch_sanitize ctest).
 TEST_F(NclTest, EcSuffixRepostSurvivesScratchGrowth) {
   StartPeers(4);  // exactly k+m members; the laggard stays in place
   NclConfig config;
   config.app_id = "test-app";
   config.default_capacity = 1 << 20;
-  config.ec_enabled = true;
   config.ec = EcGeometry{2, 2, 8};  // 8 B lane chunks: scratch stays SSO
   config.fault_budget = 2;
   // Transient-tolerant retry: the partitioned peer goes *suspect* and is
@@ -1224,6 +1308,68 @@ TEST_F(NclTest, EcSuffixRepostSurvivesScratchGrowth) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(Contents(recovered->get()), oracle);
 }
+
+// What one append costs on the wire, per lane: one data WR and one header
+// WR behind a single doorbell. A replica's data WR carries just the new
+// payload after the 16-byte region header; a shard's carries its lane
+// chunk of it after the 32-byte shard header.
+struct AppendTrafficCase {
+  std::string name;
+  std::optional<EcGeometry> ec;
+  int fault_budget;
+  uint64_t payload;                   // appended twice; the 2nd is measured
+  std::vector<uint64_t> chunk_bytes;  // per lane, in lane order
+  uint64_t header_bytes;
+};
+
+// gtest names each case after its printed parameter; print the name, not a
+// byte dump that includes heap pointers.
+void PrintTo(const AppendTrafficCase& c, std::ostream* os) { *os << c.name; }
+
+class NclAppendTrafficTest
+    : public NclTest,
+      public ::testing::WithParamInterface<AppendTrafficCase> {};
+
+TEST_P(NclAppendTrafficTest, OneAppendCostsOneChainPerLane) {
+  const AppendTrafficCase& c = GetParam();
+  const uint64_t lanes = c.chunk_bytes.size();
+  StartPeers(static_cast<int>(lanes));
+  NclConfig config;
+  config.ec = c.ec;
+  config.fault_budget = c.fault_budget;
+  auto client = MakeClient(config);
+  auto file = client->Create("/wal/1");
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ((*file)->peer_names().size(), lanes);
+
+  ASSERT_TRUE((*file)->Append(std::string(c.payload, 'o')).ok());
+  ASSERT_TRUE((*file)->Drain().ok());
+  uint64_t writes = FabricCounter("writes_posted");
+  uint64_t bytes = FabricCounter("write_bytes");
+  uint64_t doorbells = FabricCounter("doorbells");
+  ASSERT_TRUE((*file)->Append(std::string(c.payload, 'p')).ok());
+  ASSERT_TRUE((*file)->Drain().ok());
+  uint64_t expected_bytes = 0;
+  for (uint64_t chunk : c.chunk_bytes) {
+    expected_bytes += chunk + c.header_bytes;
+  }
+  EXPECT_EQ(FabricCounter("writes_posted") - writes, 2 * lanes);
+  EXPECT_EQ(FabricCounter("write_bytes") - bytes, expected_bytes);
+  EXPECT_EQ(FabricCounter("doorbells") - doorbells, lanes);
+  EXPECT_EQ(FabricCounter("reads_posted"), 0u);
+}
+
+// Logical bytes [200, 400) over 64 B units 3..6: data lane 0 gets units 4
+// and 6 (64 + 16 B), lane 1 units 3 and 5 (56 + 64 B), and each parity
+// lane the three stripe groups 1..3 they touch (3 x 64 B).
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, NclAppendTrafficTest,
+    ::testing::Values(
+        AppendTrafficCase{"replication_f1", std::nullopt, 1, 200,
+                          {200, 200, 200}, 16},
+        AppendTrafficCase{"ec_k2m2_u64", EcGeometry{2, 2, 64}, 2, 200,
+                          {80, 120, 192, 192}, 32}),
+    [](const auto& param_info) { return param_info.param.name; });
 
 // Parameterized across failure budgets: the protocol works for any f.
 class NclFaultBudgetSweep : public NclTest,

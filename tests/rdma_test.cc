@@ -17,6 +17,11 @@ class RdmaTest : public ::testing::Test {
     peer_ = fabric_.AddNode("peer1");
   }
 
+  // A "fabric.wr.*" counter of the fixture's fabric.
+  uint64_t FabricCounter(const std::string& name) {
+    return fabric_.metrics().CounterValue("fabric.wr." + name);
+  }
+
   // Pumps the simulation until a completion is available on `qp`.
   Completion WaitCompletion(QueuePair* qp) {
     Completion c;
@@ -91,7 +96,7 @@ TEST_F(RdmaTest, BatchedWritesCompleteInOrderWithOneDoorbell) {
   auto rkey = fabric_.RegisterRegion(peer_, 16);
   ASSERT_TRUE(rkey.ok());
   QueuePair qp(&fabric_, app_, peer_);
-  uint64_t doorbells_before = fabric_.stats().doorbells;
+  uint64_t doorbells_before = FabricCounter("doorbells");
   std::vector<std::string> payloads;
   for (int i = 0; i < 4; ++i) {
     payloads.push_back(std::string(1, 'a' + i));
@@ -103,7 +108,7 @@ TEST_F(RdmaTest, BatchedWritesCompleteInOrderWithOneDoorbell) {
   std::vector<uint64_t> ids = qp.PostWriteBatch(std::move(ops));
   ASSERT_EQ(ids.size(), 4u);
   // One doorbell rings for the whole chain.
-  EXPECT_EQ(fabric_.stats().doorbells - doorbells_before, 1u);
+  EXPECT_EQ(FabricCounter("doorbells") - doorbells_before, 1u);
   for (int i = 0; i < 4; ++i) {
     Completion c = WaitCompletion(&qp);
     EXPECT_EQ(c.wr_id, ids[i]) << "completion out of post order";
@@ -142,13 +147,13 @@ TEST_F(RdmaTest, UnbatchedPostingRingsOneDoorbellPerWr) {
   ASSERT_TRUE(rkey.ok());
   params_.rdma.doorbell_batching = false;
   QueuePair qp(&fabric_, app_, peer_);
-  uint64_t doorbells_before = fabric_.stats().doorbells;
+  uint64_t doorbells_before = FabricCounter("doorbells");
   std::vector<QueuePair::WriteOp> ops;
   for (int i = 0; i < 3; ++i) {
     ops.push_back({*rkey, 0, "x"});
   }
   qp.PostWriteBatch(std::move(ops));
-  EXPECT_EQ(fabric_.stats().doorbells - doorbells_before, 3u);
+  EXPECT_EQ(FabricCounter("doorbells") - doorbells_before, 3u);
   sim_.RunUntilIdle();
   params_.rdma.doorbell_batching = true;
 }
@@ -254,10 +259,10 @@ TEST_F(RdmaTest, StatsAccumulate) {
   qp.PostWrite(*rkey, 0, std::string(100, 'x'));
   qp.PostRead(*rkey, 0, 50);
   sim_.RunUntilIdle();
-  EXPECT_EQ(fabric_.stats().writes_posted, 1u);
-  EXPECT_EQ(fabric_.stats().reads_posted, 1u);
-  EXPECT_EQ(fabric_.stats().write_bytes, 100u);
-  EXPECT_EQ(fabric_.stats().read_bytes, 50u);
+  EXPECT_EQ(FabricCounter("writes_posted"), 1u);
+  EXPECT_EQ(FabricCounter("reads_posted"), 1u);
+  EXPECT_EQ(FabricCounter("write_bytes"), 100u);
+  EXPECT_EQ(FabricCounter("read_bytes"), 50u);
 }
 
 TEST_F(RdmaTest, DeregisterFreesRegion) {
