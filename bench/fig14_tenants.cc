@@ -253,6 +253,9 @@ int main() {
       uint64_t rpcs_before = testbed.controller()->rpc_count();
       testbed.peer(0)->Crash();
       if (TimedAppends(testbed, tenants, 2, "post", &post_crash, &errors)) {
+        // The replacements run in the background, each on its own
+        // timeline: give them Table 3's ~97 ms to finish.
+        testbed.sim()->RunUntil(testbed.sim()->Now() + Millis(200));
         // Zero lost acked appends: every tenant's full history reads
         // back; every tenant resident on the dead peer replaced exactly
         // one slot.

@@ -3,6 +3,11 @@
 //
 // Paper: get new peer 3.6 ms, connect + MR setup 64.9 ms, catch up 23.4 ms,
 // ap-map update 4.7 ms, total ~96.6 ms.
+//
+// The replacement runs in the background while the file keeps a quorum
+// (DESIGN.md §6), so the total is measured from detection to install (the
+// async "ncl.replace_slot" span), and the append that detects the failure
+// must itself stay under 1 ms.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -16,7 +21,9 @@ int main() {
   const uint64_t log_bytes = log_mb << 20;
   bench::Title("Table 3: peer-replacement latency breakdown (60 MB log)");
 
-  Testbed testbed;
+  TestbedOptions options;
+  options.tracing = true;
+  Testbed testbed(options);
   auto server = testbed.MakeServer("table3");
   SplitOpenOptions opts;
   opts.oncl = true;
@@ -36,17 +43,27 @@ int main() {
   CHECK_OK((*file)->Sync());
   testbed.sim()->RunUntilIdle();
 
-  // Measure the phases indirectly: crash one peer, then time the next
-  // append, which triggers detection + full replacement. The controller's
-  // RPC count and fabric stats attribute the phases.
+  // Measure the phases indirectly: crash one peer, then append; the append
+  // detects the failure and starts the replacement, which then runs to its
+  // install in the background. The controller's RPC count and the
+  // calibrated cost model attribute the phases.
   testbed.peer(0)->Crash();
 
   Controller* controller = testbed.controller();
   uint64_t rpcs_before = controller->rpc_count();
+  auto spans_before = testbed.tracer()->Snapshot();
   SimTime t0 = testbed.sim()->Now();
   CHECK_OK((*file)->Append("trigger"));
   CHECK_OK((*file)->Sync());
-  SimTime total = testbed.sim()->Now() - t0;
+  SimTime trigger = testbed.sim()->Now() - t0;
+  testbed.sim()->RunUntilIdle();
+  auto window = SpanDiff(spans_before, testbed.tracer()->Snapshot());
+  auto replace = window.find("ncl.replace_slot");
+  if (replace == window.end() || replace->second.count != 1) {
+    std::fprintf(stderr, "expected exactly one peer replacement\n");
+    return 1;
+  }
+  SimTime total = replace->second.total;
   uint64_t rpcs = controller->rpc_count() - rpcs_before;
 
   // Reconstruct the breakdown from the calibrated cost model (the same
@@ -72,9 +89,18 @@ int main() {
               HumanDuration(apmap).c_str());
   bench::Rule();
   std::printf("  %-36s %12s   (controller RPCs: %llu)\n",
-              "Total (measured end-to-end)", HumanDuration(total).c_str(),
+              "Total (detection to install)", HumanDuration(total).c_str(),
               static_cast<unsigned long long>(rpcs));
+  std::printf("  %-36s %12s\n", "Triggering append (+ sync)",
+              HumanDuration(trigger).c_str());
   bench::Note("paper: 3.6ms / 64.9ms / 23.4ms / 4.7ms, total ~96.6ms");
+  if (trigger >= Millis(1)) {
+    std::fprintf(stderr,
+                 "the append that detected the failure took %s: the "
+                 "replacement is back on the write path\n",
+                 HumanDuration(trigger).c_str());
+    return 1;
+  }
 
   const double kMsPerNs = 1e-6;
   reporter.AddSeries("get_peer", "ms").FromValue(get_peer * kMsPerNs);
@@ -84,6 +110,7 @@ int main() {
   reporter.AddSeries("total_measured", "ms")
       .FromValue(total * kMsPerNs)
       .Scalar("controller_rpcs", static_cast<double>(rpcs))
-      .Scalar("log_mb", static_cast<double>(log_mb));
+      .Scalar("log_mb", static_cast<double>(log_mb))
+      .Scalar("trigger_ms", trigger * kMsPerNs);
   return reporter.WriteJson() ? 0 : 1;
 }

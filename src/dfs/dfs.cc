@@ -203,6 +203,8 @@ SimTime DfsCluster::FanOut(const std::vector<uint64_t>& shares,
 DfsClient::DfsClient(DfsCluster* cluster, std::string name)
     : cluster_(cluster), name_(std::move(name)) {}
 
+DfsClient::~DfsClient() { StopPeriodicFlusher(); }
+
 DfsClient::FileState& DfsClient::GetState(const std::string& path) {
   return states_[path];
 }
@@ -278,7 +280,7 @@ void DfsClient::SimulateCrash() {
   // Page cache and dirty buffers are in the (crashed) app server's memory.
   states_.clear();
   crashed_ = true;
-  flusher_running_ = false;
+  StopPeriodicFlusher();
   epoch_++;
 }
 
@@ -326,19 +328,22 @@ uint64_t DfsClient::BackgroundFlushAll() {
 }
 
 void DfsClient::StartPeriodicFlusher() {
-  if (flusher_running_) {
+  if (flusher_event_ != 0) {
     return;
   }
-  flusher_running_ = true;
-  SimTime interval = cluster_->params_->dfs.flush_interval;
-  cluster_->sim_->Schedule(interval, sim::assert_inline([this, interval] {
-    if (!flusher_running_) {
-      return;
-    }
-    BackgroundFlushAll();
-    flusher_running_ = false;
-    StartPeriodicFlusher();
-  }));
+  Simulation* sim = cluster_->sim_;
+  flusher_event_ = sim->ScheduleCancelableAt(
+      sim->Now() + cluster_->params_->dfs.flush_interval,
+      sim::assert_inline([this] {
+        flusher_event_ = 0;
+        BackgroundFlushAll();
+        StartPeriodicFlusher();
+      }));
+}
+
+void DfsClient::StopPeriodicFlusher() {
+  cluster_->sim_->Cancel(flusher_event_);
+  flusher_event_ = 0;
 }
 
 // ------------------------------------------------------------------ File --

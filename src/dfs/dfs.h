@@ -181,6 +181,10 @@ struct DfsOpenOptions {
 class DfsClient {
  public:
   DfsClient(DfsCluster* cluster, std::string name);
+  ~DfsClient();
+
+  DfsClient(const DfsClient&) = delete;
+  DfsClient& operator=(const DfsClient&) = delete;
 
   Result<std::unique_ptr<DfsFile>> Open(const std::string& path,
                                         const DfsOpenOptions& options = {});
@@ -199,9 +203,10 @@ class DfsClient {
   // periodic sync used by weak-mode applications). Returns bytes flushed.
   uint64_t BackgroundFlushAll();
 
-  // Schedules BackgroundFlushAll every params.dfs.flush_interval.
+  // Schedules BackgroundFlushAll every params.dfs.flush_interval until
+  // stopped, crashed or destroyed (each cancels the pending flush event).
   void StartPeriodicFlusher();
-  void StopPeriodicFlusher() { flusher_running_ = false; }
+  void StopPeriodicFlusher();
 
   DfsCluster* cluster() const { return cluster_; }
   const std::string& name() const SPLITFT_LIFETIMEBOUND { return name_; }
@@ -225,7 +230,8 @@ class DfsClient {
   std::string name_;
   std::map<std::string, FileState> states_;
   bool crashed_ = false;
-  bool flusher_running_ = false;
+  // The pending periodic-flush event (0 when the flusher is stopped).
+  uint64_t flusher_event_ = 0;
   uint64_t epoch_ = 0;  // bumped on crash so stale handles fail
 };
 

@@ -16,6 +16,7 @@ struct Peer {
   bool alive = true;
   bool holds = false;           // has an mr-map entry for the file
   bool member = false;          // listed in the ap-map
+  bool demoted = false;         // the app stopped writing to it
   bool complete_prefix = true;  // content below `base` is present
   int8_t base = 0;              // value at last catch-up / creation
   int8_t data_upto = 0;         // highest write whose data landed
@@ -44,14 +45,21 @@ struct State {
   int8_t mig_dst = 0;
   int8_t mig_snapshot = 0;
   int8_t migrations = 0;
+  // Background replacement in progress: the member it replaces and the
+  // joining target (index+1, 0 = none). The target is not a member until
+  // the install; its copy is in flight while !complete_prefix.
+  int8_t join_src = 0;
+  int8_t join_dst = 0;
+  int8_t joins = 0;
 
   std::string Encode() const {
     std::string out;
-    out.reserve(peers.size() * 7 + 12);
+    out.reserve(peers.size() * 8 + 15);
     for (const Peer& p : peers) {
       out.push_back(static_cast<char>(p.alive));
       out.push_back(static_cast<char>(p.holds));
       out.push_back(static_cast<char>(p.member));
+      out.push_back(static_cast<char>(p.demoted));
       out.push_back(static_cast<char>(p.complete_prefix));
       out.push_back(static_cast<char>(p.base));
       out.push_back(static_cast<char>(p.data_upto));
@@ -68,6 +76,9 @@ struct State {
     out.push_back(static_cast<char>(mig_dst));
     out.push_back(static_cast<char>(mig_snapshot));
     out.push_back(static_cast<char>(migrations));
+    out.push_back(static_cast<char>(join_src));
+    out.push_back(static_cast<char>(join_dst));
+    out.push_back(static_cast<char>(joins));
     return out;
   }
 };
@@ -133,6 +144,25 @@ class Checker {
     t->mig_src = t->mig_dst = t->mig_snapshot = 0;
   }
 
+  // Abandons a background replacement: the target's region is reclaimed
+  // (epoch GC) and it returns to the spare pool.
+  static void AbortJoin(State* t) {
+    if (t->join_dst != 0) {
+      Peer& dst = t->peers[t->join_dst - 1];
+      if (dst.alive && !dst.member) {
+        dst.holds = false;
+        dst.complete_prefix = true;
+        dst.base = dst.data_upto = dst.seq_upto = 0;
+      }
+    }
+    t->join_src = t->join_dst = 0;
+  }
+
+  // A member the app writes to (and counts toward the ack quorum).
+  static bool Writable(const Peer& p) {
+    return p.member && p.alive && p.holds && !p.demoted;
+  }
+
   void Violate(const std::string& what) {
     if (!result_.violation_found) {
       result_.violation_found = true;
@@ -149,9 +179,13 @@ class Checker {
     for (int k = s->acked + 1; k <= s->issued; ++k) {
       int have = 0;
       for (const Peer& p : s->peers) {
-        if (p.member && p.alive && p.holds && p.seq_upto >= k) {
+        if (Writable(p) && p.seq_upto >= k) {
           have++;
         }
+      }
+      if (config_.bug_join_counts_before_install && s->join_dst != 0 &&
+          s->peers[s->join_dst - 1].seq_upto >= k) {
+        have++;  // BUG: the joining target is not in the ap-map yet
       }
       if (have >= ack_quorum()) {
         s->acked = static_cast<int8_t>(k);
@@ -174,11 +208,13 @@ class Checker {
     // --- 2. Deliver one pending WR on some peer. -------------------------
     for (size_t i = 0; i < s.peers.size(); ++i) {
       const Peer& p = s.peers[i];
-      if (!p.alive || !p.holds || !p.member) {
+      bool joining = s.join_dst == static_cast<int8_t>(i) + 1;
+      if (!p.alive || !p.holds || !(p.member || joining) || p.demoted) {
         continue;
       }
       // Writes issued after this peer's base are queued for it; deliveries
-      // happen in order. In the safe protocol data_k precedes seq_k; the
+      // happen in order — for a joining target, behind its snapshot copy
+      // (data_upto < base until the copy lands). In the safe protocol data_k precedes seq_k; the
       // injected bug reverses them.
       bool can_data, can_seq;
       if (!config_.bug_seq_before_data) {
@@ -224,6 +260,26 @@ class Checker {
           // (the real client detects this at cutover and aborts).
           AbortMigration(&t);
         }
+        if (t.join_dst == static_cast<int8_t>(i) + 1) {
+          AbortJoin(&t);  // the target's transfer fails: it never joins
+        }
+        result_.transitions++;
+        Push(std::move(t));
+      }
+    }
+
+    // --- 3b. Demote a member: the app stops writing to it (a partition
+    // outlasting the retry deadline) and will replace it, but the peer
+    // keeps its region and answers a later recovery with stale contents.
+    if (config_.max_joins > 0 && s.app_alive &&
+        s.peer_crashes < config_.max_peer_crashes) {
+      for (size_t i = 0; i < s.peers.size(); ++i) {
+        if (!Writable(s.peers[i])) {
+          continue;
+        }
+        State t = s;
+        t.peers[i].demoted = true;
+        t.peer_crashes++;
         result_.transitions++;
         Push(std::move(t));
       }
@@ -232,8 +288,9 @@ class Checker {
     // --- 4. The app replaces a crashed member with a spare. --------------
     if (s.app_alive && !config_.batch_replacement_only) {
       for (size_t i = 0; i < s.peers.size(); ++i) {
-        if (!s.peers[i].member || s.peers[i].alive) {
-          continue;  // replace only dead members
+        if (!s.peers[i].member ||
+            (s.peers[i].alive && !s.peers[i].demoted)) {
+          continue;  // replace only dead (or demoted) members
         }
         for (size_t j = 0; j < s.peers.size(); ++j) {
           if (s.peers[j].member || !s.peers[j].alive || s.peers[j].holds) {
@@ -242,7 +299,9 @@ class Checker {
           if (!config_.bug_apmap_before_catchup) {
             // Safe: the new peer is caught up (from the app's local
             // buffer, i.e. every issued write) before the ap-map changes.
+            // A running background replacement is abandoned first.
             State t = s;
+            AbortJoin(&t);
             t.peers[i].member = false;
             Peer& np = t.peers[j];
             np.member = true;
@@ -286,7 +345,7 @@ class Checker {
       std::vector<size_t> spares;
       for (size_t i = 0; i < s.peers.size(); ++i) {
         const Peer& p = s.peers[i];
-        if (p.member && !p.alive) {
+        if (p.member && (!p.alive || p.demoted)) {
           dead.push_back(i);
         } else if (!p.member && p.alive && !p.holds) {
           spares.push_back(i);
@@ -295,6 +354,7 @@ class Checker {
       size_t n = std::min(dead.size(), spares.size());
       if (n > 0) {
         State t = s;
+        AbortJoin(&t);
         for (size_t k = 0; k < n; ++k) {
           t.peers[dead[k]].member = false;
           Peer& np = t.peers[spares[k]];
@@ -333,8 +393,8 @@ class Checker {
     // onto a spare. The target holds the prefix issued so far but is not a
     // member; writes issued from here on are the suffix the cutover must
     // catch up.
-    if (s.app_alive && s.mig_src == 0 && s.pending_catchup == 0 &&
-        s.migrations < config_.max_migrations) {
+    if (s.app_alive && s.mig_src == 0 && s.join_dst == 0 &&
+        s.pending_catchup == 0 && s.migrations < config_.max_migrations) {
       for (size_t i = 0; i < s.peers.size(); ++i) {
         if (!s.peers[i].member || !s.peers[i].alive) {
           continue;
@@ -377,21 +437,84 @@ class Checker {
       Push(std::move(t));
     }
 
+    // --- 4f. Start a background replacement of a dead or demoted member
+    // while the members the app writes to hold an ack quorum: the target
+    // gets the snapshot copy of everything issued so far, in flight until
+    // 4g; writes issued from here on queue behind it (SQ order).
+    if (s.app_alive && s.join_dst == 0 && s.mig_src == 0 &&
+        s.pending_catchup == 0 && s.joins < config_.max_joins) {
+      int writable = 0;
+      for (const Peer& p : s.peers) {
+        writable += Writable(p) ? 1 : 0;
+      }
+      for (size_t i = 0; i < s.peers.size() && writable >= ack_quorum();
+           ++i) {
+        if (!s.peers[i].member ||
+            (s.peers[i].alive && !s.peers[i].demoted)) {
+          continue;
+        }
+        for (size_t j = 0; j < s.peers.size(); ++j) {
+          if (s.peers[j].member || !s.peers[j].alive || s.peers[j].holds) {
+            continue;  // target: alive spare without a stale region
+          }
+          State t = s;
+          Peer& np = t.peers[j];
+          np.holds = true;
+          np.complete_prefix = false;
+          np.base = s.issued;
+          np.data_upto = np.seq_upto = 0;
+          t.join_src = static_cast<int8_t>(i) + 1;
+          t.join_dst = static_cast<int8_t>(j) + 1;
+          t.joins++;
+          result_.transitions++;
+          Push(std::move(t));
+          break;  // one spare choice suffices (spares are symmetric)
+        }
+      }
+    }
+
+    // --- 4g. The snapshot copy lands on the joining target.
+    if (s.join_dst != 0 && !s.peers[s.join_dst - 1].complete_prefix) {
+      State t = s;
+      Peer& np = t.peers[t.join_dst - 1];
+      np.complete_prefix = true;
+      np.data_upto = np.seq_upto = np.base;
+      result_.transitions++;
+      Push(std::move(t));
+    }
+
+    // --- 4h. Install: the ap-map cutover to the target, allowed only once
+    // it holds everything acknowledged.
+    if (s.app_alive && s.join_dst != 0) {
+      const Peer& np = s.peers[s.join_dst - 1];
+      if (np.complete_prefix && np.seq_upto >= s.acked) {
+        State t = s;
+        t.peers[t.join_src - 1].member = false;
+        t.peers[t.join_dst - 1].member = true;
+        t.join_src = t.join_dst = 0;
+        result_.transitions++;
+        Push(std::move(t));
+      }
+    }
+
     // --- 5. The app crashes. ----------------------------------------------
     if (s.app_alive && s.app_crashes < config_.max_app_crashes) {
       State t = s;
       t.app_alive = false;
       t.app_crashes++;
       t.pending_catchup = 0;
-      // An in-flight migration dies with the app; the target region is
-      // not in the ap-map, so recovery ignores it and the GC frees it.
+      // An in-flight migration or background replacement dies with the
+      // app; the target region is not in the ap-map, so recovery ignores
+      // it and the GC frees it.
       AbortMigration(&t);
+      AbortJoin(&t);
       if (ec() && config_.ec_drain_on_crash) {
-        // Laggard delivery: every issued write was posted to every member,
-        // and one-sided WRs outlive the initiator, so queued deliveries to
-        // alive members land before recovery can observe the regions.
+        // Laggard delivery: every issued write was posted to every member
+        // the app wrote to, and one-sided WRs outlive the initiator, so
+        // queued deliveries to alive members land before recovery can
+        // observe the regions.
         for (Peer& p : t.peers) {
-          if (p.member && p.alive && p.holds) {
+          if (Writable(p)) {
             p.data_upto = std::max(p.data_upto, t.issued);
             p.seq_upto = std::max(p.seq_upto, t.issued);
           }
@@ -478,6 +601,9 @@ class Checker {
     t.acked = static_cast<int8_t>(claimed);
     t.issued = static_cast<int8_t>(claimed);
     t.pending_catchup = 0;
+    for (Peer& p : t.peers) {
+      p.demoted = false;  // the recovered client writes to every member
+    }
     if (!config_.bug_skip_recovery_catchup) {
       // Staged-region catch-up before externalizing, same as replication:
       // every alive member holder is rewritten to the recovered state.
@@ -524,6 +650,9 @@ class Checker {
     t.acked = static_cast<int8_t>(claimed);
     t.issued = static_cast<int8_t>(claimed);
     t.pending_catchup = 0;
+    for (Peer& p : t.peers) {
+      p.demoted = false;  // the recovered client writes to every member
+    }
     if (!config_.bug_skip_recovery_catchup) {
       // Catch every reachable member peer up via the staged-region switch
       // before externalizing the data (§4.5.1).

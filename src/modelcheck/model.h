@@ -7,6 +7,12 @@
 //   * application-issued writes (up to a bound),
 //   * peer crashes and replacements (one dead member at a time, or every
 //     dead member in one step),
+//   * background replacements (DESIGN.md §6): a start transition hands a
+//     spare the snapshot copy, with later writes queued behind it in SQ
+//     order, and an install transition cuts the ap-map over to it once it
+//     holds everything acknowledged; plus demotions — a member the app
+//     stops writing to (a partition outlasting the retry deadline) that
+//     keeps its stale region and still answers recovery,
 //   * application crashes and recoveries (with every f+1-subset of
 //     responding peers as the recovery quorum),
 // and asserts the §4.6 correctness condition after every recovery:
@@ -23,7 +29,9 @@
 //   * bug_migrate_stale_cutover — a planned migration cuts the ap-map over
 //                                 to the target with only the snapshot-copy
 //                                 prefix, skipping the suffix catch-up
-//                                 (DESIGN.md §13's fencing argument).
+//                                 (DESIGN.md §13's fencing argument);
+//   * bug_join_counts_before_install — a joining replacement counts toward
+//                                 the ack quorum before its ap-map write.
 #ifndef SRC_MODELCHECK_MODEL_H_
 #define SRC_MODELCHECK_MODEL_H_
 
@@ -59,6 +67,11 @@ struct McConfig {
   // run concurrently with writes and crashes. 0 keeps the pre-migration
   // state space.
   int max_migrations = 0;
+  // Background replacements (DESIGN.md §6) the app may start, each while
+  // the members it still writes to hold an ack quorum. 0 keeps the state
+  // space without them and without demotions; > 0 also lets a peer
+  // failure be a demotion (counted in max_peer_crashes).
+  int max_joins = 0;
   // Restricts crash repair to the replace-every-dead-member step, so a
   // test can show that step's bug_apmap_before_catchup twin is caught on
   // its own.
@@ -71,6 +84,11 @@ struct McConfig {
   // short of reconstructable — the checker must report externalized-write
   // loss (the bug_ec_ack_below_k theorem test).
   bool bug_ec_ack_below_k = false;
+  // Background-replacement mutant: the joining target counts toward the
+  // ack quorum before the ap-map names it. If the app crashes before the
+  // install, an acknowledged write sits on one member fewer than a quorum,
+  // and a demoted member's stale region can outvote it at recovery.
+  bool bug_join_counts_before_install = false;
   uint64_t max_states = 10'000'000;  // exploration cap
 };
 

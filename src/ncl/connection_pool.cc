@@ -227,6 +227,49 @@ void NclConnectionPool::UpdateGauges() {
 
 // ------------------------------------------------------------- PooledQp --
 
+void NclConnectionPool::ArmNotify(uint64_t owner, std::function<void()> fn) {
+  Owner& o = owners_.at(owner);
+  if (!o.ready.empty()) {
+    fn();
+    return;
+  }
+  o.notify = std::move(fn);
+  Lane* lane = LaneOf(o.remote, o.lane);
+  if (lane != nullptr && lane->live.qp != nullptr) {
+    lane->live.qp->RequestNotify(
+        [this, remote = o.remote, idx = o.lane] { OnLaneNotify(remote, idx); });
+  }
+}
+
+void NclConnectionPool::OnLaneNotify(NodeId remote, int lane_idx) {
+  Lane* lane = LaneOf(remote, lane_idx);
+  if (lane == nullptr) {
+    return;
+  }
+  DrainLane(lane);
+  // Collect first: a notification may release handles (owners_ entries).
+  std::vector<std::function<void()>> fire;
+  bool armed = false;
+  for (auto& [id, o] : owners_) {
+    if (o.remote != remote || o.lane != lane_idx || !o.notify) {
+      continue;
+    }
+    if (o.ready.empty()) {
+      armed = true;
+    } else {
+      fire.push_back(std::move(o.notify));
+      o.notify = nullptr;
+    }
+  }
+  if (armed && lane->live.qp != nullptr) {
+    lane->live.qp->RequestNotify(
+        [this, remote, lane_idx] { OnLaneNotify(remote, lane_idx); });
+  }
+  for (std::function<void()>& fn : fire) {
+    fn();
+  }
+}
+
 PooledQp::PooledQp(NclConnectionPool* pool, NodeId remote, int lane,
                    uint64_t owner)
     : pool_(pool), remote_(remote), lane_(lane), owner_(owner) {}
@@ -270,6 +313,10 @@ uint64_t PooledQp::PostRead(RKey rkey, uint64_t remote_offset, uint64_t len) {
 }
 
 bool PooledQp::PollCq(Completion* out) { return pool_->Poll(owner_, out); }
+
+void PooledQp::RequestNotify(std::function<void()> fn) {
+  pool_->ArmNotify(owner_, std::move(fn));
+}
 
 size_t PooledQp::Outstanding() const {
   return pool_->OwnerOutstanding(owner_);

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -130,6 +131,8 @@ class NclConnectionPool {
     NodeId remote = kInvalidNode;
     int lane = -1;
     std::deque<Completion> ready;
+    // Armed by PooledQp::RequestNotify; dropped with the handle.
+    std::function<void()> notify;
   };
 
   Lane* LaneOf(NodeId remote, int lane_idx);
@@ -142,6 +145,11 @@ class NclConnectionPool {
   bool Poll(uint64_t owner, Completion* out);
   size_t OwnerOutstanding(uint64_t owner) const;
   void ReleaseOwner(uint64_t owner);
+  // Arms `owner`'s notification and, through it, the lane's live QP; the
+  // lane's notification routes its completions and fires every armed owner
+  // that got one.
+  void ArmNotify(uint64_t owner, std::function<void()> fn);
+  void OnLaneNotify(NodeId remote, int lane_idx);
   void UpdateGauges();
 
   Fabric* fabric_;
@@ -184,6 +192,10 @@ class PooledQp {
   std::vector<uint64_t> PostWriteBatch(std::vector<QueuePair::WriteOp> ops);
   uint64_t PostRead(RKey rkey, uint64_t remote_offset, uint64_t len);
   bool PollCq(Completion* out);
+  // See QueuePair::RequestNotify: `fn` runs once, when a completion for
+  // this handle is ready (at once if one already is). Other tenants'
+  // completions on the shared lane do not fire it.
+  void RequestNotify(std::function<void()> fn);
 
   // WRs this handle posted whose completions have not been polled yet.
   size_t Outstanding() const;

@@ -58,6 +58,7 @@ NclClient::~NclClient() {
   // not reach back into this client. An orphaned file rejects every
   // subsequent operation with kFailedPrecondition.
   for (NclFile* file : open_files_) {
+    file->AbandonJoin();
     file->slots_.clear();
     file->deleted_ = true;
     file->client_ = nullptr;
@@ -115,7 +116,7 @@ Result<std::unique_ptr<NclFile>> NclClient::Create(const std::string& file,
     out->slots_.push_back(std::move(got[0]));
   }
   out->RefreshPeerNames();
-  RETURN_IF_ERROR(out->WriteApMap());
+  RETURN_IF_ERROR(out->WriteApMap(out->peer_names_));
   return out;
 }
 
@@ -422,7 +423,7 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
                     "NclClient recovery slot replacement");
     }
     out->RefreshPeerNames();
-    RETURN_IF_ERROR(out->WriteApMap());
+    RETURN_IF_ERROR(out->WriteApMap(out->peer_names_));
   }
   ObsRecord(h_recover_ns_, sim->Now() - recover_start);
   return out;
@@ -464,6 +465,7 @@ NclFile::~NclFile() {
   if (client_ == nullptr) {
     return;  // orphaned: the owning client was destroyed first
   }
+  AbandonJoin();
   auto& files = client_->open_files_;
   files.erase(std::remove(files.begin(), files.end(), this), files.end());
 }
@@ -485,10 +487,10 @@ void NclFile::RefreshPeerNames() {
   }
 }
 
-Status NclFile::WriteApMap() {
+Status NclFile::WriteApMap(const std::vector<std::string>& peers) {
   ApMapEntry entry;
   entry.epoch = epoch_;
-  entry.peers = peer_names_;  // slot order is lane order
+  entry.peers = peers;  // slot order is lane order
   scheme().StampApMap(&entry);
   return client_->RetryControllerRpc([&] {
     return client_->controller_->SetApMap(client_->config_.app_id, name_,
@@ -599,16 +601,7 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
   std::string lane_scratch;
 
   int posted = 0;
-  for (PeerSlot& slot : slots_) {
-    if (!slot.alive || slot.suspect) {
-      // Suspect slots get the missing suffix on resurrection instead of
-      // individual appends (their QP is down between attempts).
-      continue;
-    }
-    if (config.test_crash_after_posting >= 0 &&
-        posted >= config.test_crash_after_posting) {
-      break;
-    }
+  auto post = [&](PeerSlot& slot) {
     // One WR chain per peer, one doorbell: the lane's chunk of the data,
     // then the header, in SQ order, so the header's arrival implies the
     // data's (§4.4). The last WR of the chain carries the seq the ack
@@ -643,9 +636,30 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
       slot.inflight.emplace_back(ids[k], k + 1 == nops ? seq_ : 0);
     }
     posted++;
+  };
+  for (PeerSlot& slot : slots_) {
+    if (!slot.alive || slot.suspect) {
+      // Suspect slots get the missing suffix on resurrection instead of
+      // individual appends (their QP is down between attempts).
+      continue;
+    }
+    if (config.test_crash_after_posting >= 0 &&
+        posted >= config.test_crash_after_posting) {
+      break;
+    }
+    post(slot);
   }
   if (config.test_crash_after_posting >= 0) {
     return AbortedError("test hook: simulated crash mid-replication");
+  }
+  // Joining successors get every append after their bulk copy, queued
+  // behind it in SQ order.
+  if (join_ != nullptr && join_->phase != Join::Phase::kAllocating) {
+    for (Successor& s : join_->successors) {
+      if (s.slot.alive) {
+        post(s.slot);
+      }
+    }
   }
 
   // Bounded window: block until the oldest outstanding append commits once
@@ -694,6 +708,9 @@ Status NclFile::WaitFor(uint64_t seq) {
       // (§4.5.2). One replacement step costs one peer's replacement however
       // many slots it covers, so with eager replacement every dead slot
       // goes in it; otherwise just enough to regain an ack quorum.
+      // A background replacement still running is abandoned: this step
+      // replaces its slots along with the newly dead ones.
+      AbandonJoin();
       size_t count = config.eager_peer_replacement
                          ? slots_.size()
                          : static_cast<size_t>(scheme().ack_quorum() -
@@ -725,20 +742,12 @@ Status NclFile::WaitFor(uint64_t seq) {
     }
   }
 
-  // Off the ack path: restore the fault-tolerance level eagerly. Expired
-  // suspects are demoted first so they become eligible for replacement.
+  // Restore the fault-tolerance level in the background, off the ack
+  // path. Expired suspects are demoted first so they become eligible for
+  // replacement; whether any resurrected is irrelevant here.
   if (config.eager_peer_replacement) {
-    // Whether any suspect resurrected is irrelevant here; the loop below
-    // replaces whatever is still down.
     MaybeRetrySuspects();
-    std::vector<PeerSlot*> dead = SlotsWhere(false);
-    if (!dead.empty()) {
-      Status replaced = ReplaceSlots(dead);
-      if (replaced.code() == StatusCode::kAborted) {
-        return replaced;  // test hook: simulated app crash
-      }
-    }
-    AdvanceCommitWatermark();
+    StartReplacement();
   }
   return OkStatus();
 }
@@ -865,28 +874,35 @@ bool NclFile::PostSuffix(PeerSlot* slot) {
   return true;
 }
 
+WcStatus NclFile::PollSlot(PeerSlot* slot, bool* progressed) {
+  Completion c;
+  while (slot->qp->PollCq(&c)) {
+    *progressed = true;
+    if (c.status != WcStatus::kSuccess) {
+      return c.status;
+    }
+    if (!slot->inflight.empty() && slot->inflight.front().first == c.wr_id) {
+      uint64_t committed = slot->inflight.front().second;
+      slot->inflight.pop_front();
+      if (committed > 0) {
+        slot->acked_seq = committed;
+      }
+    }
+  }
+  return WcStatus::kSuccess;
+}
+
 bool NclFile::PumpCompletions() {
   bool progressed = false;
   for (PeerSlot& slot : slots_) {
     if (!slot.alive || slot.qp == nullptr) {
       continue;
     }
-    Completion c;
-    while (slot.qp->PollCq(&c)) {
-      progressed = true;
-      if (c.status != WcStatus::kSuccess) {
-        // Peer failure detected via the WR error (§4.5.2). Transient
-        // failures make the slot suspect; permanent ones demote it.
-        OnSlotError(&slot, c.status);
-        break;
-      }
-      if (!slot.inflight.empty() && slot.inflight.front().first == c.wr_id) {
-        uint64_t committed = slot.inflight.front().second;
-        slot.inflight.pop_front();
-        if (committed > 0) {
-          slot.acked_seq = committed;
-        }
-      }
+    WcStatus status = PollSlot(&slot, &progressed);
+    if (status != WcStatus::kSuccess) {
+      // Peer failure detected via the WR error (§4.5.2). Transient
+      // failures make the slot suspect; permanent ones demote it.
+      OnSlotError(&slot, status);
     }
     if (slot.suspect && slot.qp != nullptr && slot.inflight.empty()) {
       // The resurrection repost fully drained: the QP is healthy again and
@@ -1298,7 +1314,7 @@ Status NclFile::ReplaceSlots(const std::vector<PeerSlot*>& dead) {
       legs[i].slot = dead[i];
     }
     RefreshPeerNames();
-    RETURN_IF_ERROR(WriteApMap());
+    RETURN_IF_ERROR(WriteApMap(peer_names_));
     if (config.test_crash_after_apmap_update) {
       return AbortedError("test hook: simulated crash after ap-map update");
     }
@@ -1332,9 +1348,232 @@ Status NclFile::ReplaceSlots(const std::vector<PeerSlot*>& dead) {
   }
   if (installed > 0 && !config.unsafe_apmap_before_catchup) {
     RefreshPeerNames();
-    RETURN_IF_ERROR(WriteApMap());
+    RETURN_IF_ERROR(WriteApMap(peer_names_));
   }
   return status;
+}
+
+void NclFile::RunDetached(const std::function<void()>& part,
+                          void (NclFile::*then)()) {
+  Tracer* tracer = client_->obs_.tracer;
+  join_event_ = client_->fabric_->sim()->Detach(
+      [&] {
+        if (tracer != nullptr) {
+          tracer->Unnested(part);
+        } else {
+          part();
+        }
+      },
+      [this, then] {
+        join_event_ = 0;
+        (this->*then)();
+      });
+}
+
+void NclFile::StartReplacement() {
+  if (join_ != nullptr || deleted_ ||
+      !client_->config_.eager_peer_replacement) {
+    return;
+  }
+  auto join = std::make_unique<Join>();
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (!slots_[i].alive) {
+      join->targets.push_back(i);
+    }
+  }
+  if (join->targets.empty()) {
+    return;
+  }
+  join->started_at = client_->fabric_->sim()->Now();
+  join_ = std::move(join);
+  AllocateSuccessors();
+}
+
+void NclFile::AllocateSuccessors() {
+  // Step 1, detached: the epoch bump, GetPeers, region registration and the
+  // connect cost the replacement's own timeline, not the caller's.
+  RunDetached(
+      [&] {
+        NclClient* client = client_;
+        Join& j = *join_;
+        auto epoch = client->RetryControllerRpc(
+            [&] { return client->controller_->BumpAppEpoch(client->config_.app_id); });
+        if (!epoch.ok()) {
+          j.status = epoch.status();
+          return;
+        }
+        epoch_ = j.epoch = *epoch;
+        // As in ReplaceSlots, only the file's other current members are
+        // excluded.
+        std::set<std::string> exclude;
+        for (const PeerSlot& slot : slots_) {
+          if (slot.alive) {
+            exclude.insert(slot.peer_name);
+          }
+        }
+        std::vector<PeerSlot> fresh = AllocateFreshSlots(
+            j.targets.size(), std::move(exclude), &j.status);
+        for (size_t i = 0; i < fresh.size(); ++i) {
+          Successor& s = j.successors.emplace_back();
+          s.target = j.targets[i];
+          // The successor inherits its dead slot's lane (see ReplaceSlots).
+          s.slot = std::move(fresh[i]);
+          s.slot.lane = slots_[s.target].lane;
+        }
+      },
+      &NclFile::OnSuccessorsAllocated);
+}
+
+bool NclFile::RetryStepLater(void (NclFile::*step)()) {
+  Join& join = *join_;
+  Simulation* sim = client_->fabric_->sim();
+  if (join.status.code() != StatusCode::kTimedOut) {
+    return false;
+  }
+  if (!join.retry.has_value()) {
+    join.retry.emplace(&client_->config_.retry, join.started_at);
+  }
+  if (!join.retry->ShouldRetry(sim->Now())) {
+    return false;
+  }
+  ObsAdd(client_->c_controller_rpc_retries_);
+  join.status = OkStatus();
+  join_event_ = sim->ScheduleCancelableAt(
+      sim->Now() + join.retry->NextBackoff(&client_->rng_), [this, step] {
+        join_event_ = 0;
+        (this->*step)();
+      });
+  return true;
+}
+
+void NclFile::OnSuccessorsAllocated() {
+  Join& join = *join_;
+  if (join.successors.empty()) {
+    if (RetryStepLater(&NclFile::AllocateSuccessors)) {
+      return;  // a controller outage: wait it out as the foreground would
+    }
+    // No peer could take over; the slots stay dead and the next append's
+    // WaitFor starts over.
+    DiscardStatus(join.status, "NclFile background replacement");
+    join_.reset();
+    return;
+  }
+  // Step 2: each successor's bulk copy of its lane image, header last. The
+  // successor is joining from here on: later appends queue behind the copy.
+  join.phase = Join::Phase::kCopying;
+  join.copy_posted_at = client_->fabric_->sim()->Now();
+  for (Successor& s : join.successors) {
+    PostFullState(&s.slot);
+    s.copy_header = s.slot.inflight.back().first;
+  }
+  ProgressJoin();
+}
+
+void NclFile::ProgressJoin() {
+  Join& join = *join_;
+  Simulation* sim = client_->fabric_->sim();
+  Tracer* tracer = client_->obs_.tracer;
+  for (Successor& s : join.successors) {
+    bool progressed = false;
+    if (PollSlot(&s.slot, &progressed) != WcStatus::kSuccess) {
+      s.slot.alive = false;  // e.g. the fresh peer crashed mid-copy
+      continue;
+    }
+    auto& inflight = s.slot.inflight;
+    if (s.copy_header != 0 &&
+        std::none_of(inflight.begin(), inflight.end(), [&](const auto& wr) {
+          return wr.first == s.copy_header;
+        })) {
+      s.copy_header = 0;
+      if (tracer != nullptr) {
+        tracer->AddAsyncSpan("ncl.catchup.bulk", join.copy_posted_at,
+                             sim->Now());
+      }
+    }
+  }
+  // A failed successor never enters the ap-map; its slot stays dead.
+  std::erase_if(join.successors,
+                [](const Successor& s) { return !s.slot.alive; });
+  if (join.successors.empty()) {
+    join_.reset();
+    return;
+  }
+  // Install only once each successor holds every committed append; until
+  // then, check again at a successor's next completion. A successor acks
+  // nothing before its copy's header (SQ order), and a replacement starts
+  // only after a WaitFor committed something, so this also means the copy
+  // landed.
+  bool caught_up = true;
+  for (Successor& s : join.successors) {
+    if (s.slot.acked_seq >= committed_seq_) {
+      continue;
+    }
+    caught_up = false;
+    s.slot.qp->RequestNotify([this, sim] {
+      if (join_ != nullptr && join_->phase == Join::Phase::kCopying &&
+          join_event_ == 0) {
+        join_event_ = sim->ScheduleCancelableAt(sim->Now(), [this] {
+          join_event_ = 0;
+          ProgressJoin();
+        });
+      }
+    });
+  }
+  if (caught_up) {
+    join.phase = Join::Phase::kInstalling;
+    InstallSuccessors();
+  }
+}
+
+void NclFile::InstallSuccessors() {
+  Join& join = *join_;
+  if (epoch_ != join.epoch) {
+    // Another membership change (a migration cutover) bumped the epoch
+    // after ours: the successors stay out, the slots dead.
+    AbandonJoin();
+    return;
+  }
+  // Step 3, detached: the ap-map write naming the successors.
+  std::vector<std::string> peers = peer_names_;
+  for (const Successor& s : join.successors) {
+    peers[s.target] = s.slot.peer_name;
+  }
+  RunDetached([&] { join.status = WriteApMap(peers); },
+              &NclFile::OnInstalled);
+}
+
+void NclFile::OnInstalled() {
+  Join& join = *join_;
+  if (!join.status.ok() && RetryStepLater(&NclFile::InstallSuccessors)) {
+    return;
+  }
+  if (!join.status.ok() || epoch_ != join.epoch) {
+    // Fenced, or the epoch moved on while the write was out: the
+    // successors stay out, the slots dead.
+    DiscardStatus(join.status, "NclFile background replacement ap-map write");
+    AbandonJoin();
+    return;
+  }
+  // Step 4: the successors take over their slots and count from now on.
+  for (Successor& s : join.successors) {
+    ever_used_.insert(s.slot.peer_name);
+    slots_[s.target] = std::move(s.slot);
+    client_->peers_replaced_++;
+    ObsAdd(client_->c_peers_replaced_);
+  }
+  RefreshPeerNames();
+  UpdateDegradedGauge();
+  if (client_->obs_.tracer != nullptr) {
+    client_->obs_.tracer->AddAsyncSpan("ncl.replace_slot", join.started_at,
+                                       client_->fabric_->sim()->Now());
+  }
+  join_.reset();
+}
+
+void NclFile::AbandonJoin() {
+  client_->fabric_->sim()->Cancel(join_event_);
+  join_event_ = 0;
+  join_.reset();
 }
 
 std::vector<NclFile::PeerSlot> NclFile::AllocateFreshSlots(
@@ -1399,21 +1638,9 @@ Status NclFile::AwaitSlotDrain(PeerSlot* slot) {
   Simulation* sim = client_->fabric_->sim();
   bool failed = false;
   bool ok = sim->RunUntilPredicate([&] {
-    Completion c;
-    while (slot->qp->PollCq(&c)) {
-      if (c.status != WcStatus::kSuccess) {
-        failed = true;
-        return true;
-      }
-      if (!slot->inflight.empty() && slot->inflight.front().first == c.wr_id) {
-        uint64_t committed = slot->inflight.front().second;
-        slot->inflight.pop_front();
-        if (committed > 0) {
-          slot->acked_seq = committed;
-        }
-      }
-    }
-    return slot->inflight.empty();
+    bool progressed = false;
+    failed = PollSlot(slot, &progressed) != WcStatus::kSuccess;
+    return failed || slot->inflight.empty();
   });
   if (!ok || failed) {
     return UnavailableError("transfer to " + slot->peer_name + " failed");
@@ -1521,7 +1748,7 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
   *slot = std::move(fresh);
   ever_used_.insert(slot->peer_name);
   RefreshPeerNames();
-  RETURN_IF_ERROR(WriteApMap());
+  RETURN_IF_ERROR(WriteApMap(peer_names_));
   if (old_peer != nullptr && old_peer->alive()) {
     DiscardStatus(old_peer->Release(client->config_.app_id, name_),
                   "NclFile::MigrateSlot release of source region");
@@ -1585,6 +1812,7 @@ Status NclFile::Delete() {
   if (deleted_) {
     return FailedPreconditionError("ncl file already deleted: " + name_);
   }
+  AbandonJoin();
   for (PeerSlot& slot : slots_) {
     if (slot.alive && slot.peer != nullptr) {
       Status released = slot.peer->Release(client_->config_.app_id, name_);

@@ -10,7 +10,8 @@
 //     the first k shards) have completed it *and every preceding write*;
 //   * peer failures are detected via WR errors; the failed peer is replaced
 //     with a fresh one, which is caught up from the local buffer *before*
-//     the ap-map is updated (§4.5.2, Fig 7iii);
+//     the ap-map is updated (§4.5.2, Fig 7iii) — in the background while
+//     the file keeps an ack quorum, inside the blocked append otherwise;
 //   * recovery reads the headers from at least a quorum of peers, claims
 //     the k-th largest sequence number (the maximum for replication),
 //     rebuilds the file from k lane streams at or above it, and atomically
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -55,7 +57,10 @@ struct NclConfig {
   // Ship a bytewise diff instead of the full contents during catch-up
   // (§4.5.1 optimization; ablation_catchup).
   bool diff_catchup = false;
-  // Replace failed peers as soon as the failure is detected.
+  // Replace failed peers as soon as the failure is detected: in the
+  // background while the file keeps an ack quorum (appends carry on), and
+  // every dead slot at once when it does not. When false, a dead slot is
+  // replaced only to regain a lost quorum, and only as many as that needs.
   bool eager_peer_replacement = true;
   // Bounded append pipelining: how many appends may be in flight (posted
   // but not yet majority-committed) before AppendAsync blocks. 1 keeps the
@@ -233,10 +238,13 @@ class NclClient {
   template <typename Fn>
   auto RetryControllerRpc(Fn&& fn) -> decltype(fn()) {
     auto r = fn();
-    if (!RpcTimedOut(r)) {
+    Simulation* sim = fabric_->sim();
+    if (!RpcTimedOut(r) || sim->in_part()) {
+      // A background step cannot wait out a backoff here (that runs
+      // events); it gets the timeout and retries itself later
+      // (NclFile::RetryStepLater).
       return r;
     }
-    Simulation* sim = fabric_->sim();
     RetryState state(&config_.retry, sim->Now());
     while (RpcTimedOut(r) && state.ShouldRetry(sim->Now())) {
       ObsAdd(c_controller_rpc_retries_);
@@ -401,6 +409,10 @@ class NclFile {
   // WR failures: transient ones mark the slot suspect, permanent ones
   // demote it to dead.
   bool PumpCompletions();
+  // Drains `slot`'s CQ, retiring its in-flight WRs in order and advancing
+  // acked_seq; sets `*progressed` if anything completed. Stops at the
+  // first failed completion and returns its status.
+  WcStatus PollSlot(PeerSlot* slot, bool* progressed);
 
   // ---- Commit watermark & window history ---------------------------------
   // The committed watermark is the quorum-th largest acked_seq among
@@ -436,8 +448,64 @@ class NclFile {
   // once, all bulk copies in flight together, then one ap-map update
   // naming every new peer whose copy completed. A slot whose leg failed
   // stays dead; the first failure is returned. On success every slot is
-  // alive and fully caught up.
+  // alive and fully caught up. This blocks the caller: it is the path for
+  // a lost ack quorum and for recovery.
   Status ReplaceSlots(const std::vector<PeerSlot*>& dead);
+
+  // ---- Background replacement (DESIGN.md §6) -----------------------------
+  // While the file keeps an ack quorum, its dead slots are replaced off the
+  // write path in four steps:
+  //   1. a detached step bumps the epoch and allocates and connects the
+  //      successors (AllocateFreshSlots);
+  //   2. at its end an event posts each successor's bulk copy of the buffer.
+  //      From then on the successor is *joining*: RecordAsync posts every
+  //      later append to it as well, queued behind the copy in SQ order;
+  //   3. once each successor holds every committed append (its copy
+  //      landed, SQ order), a detached ap-map write names the successors;
+  //   4. at that write's end they take over their slots, and only from
+  //      then on count toward the ack quorum (ComputeCommittedSeq).
+  // Pending events are cancelled when the file or its client goes away.
+  struct Successor {
+    size_t target = 0;  // index in slots_ of the dead slot it replaces
+    PeerSlot slot;
+    // Id of the bulk copy's header WR until it completes (and the
+    // "ncl.catchup.bulk" span is recorded); then 0.
+    uint64_t copy_header = 0;
+  };
+  struct Join {
+    enum class Phase { kAllocating, kCopying, kInstalling };
+    Phase phase = Phase::kAllocating;
+    std::vector<size_t> targets;  // the dead slots, by index in slots_
+    std::vector<Successor> successors;
+    uint64_t epoch = 0;  // bumped by step 1; the ap-map write carries it
+    SimTime started_at = 0;
+    SimTime copy_posted_at = 0;
+    Status status;  // outcome of the last detached step
+    // Controller-outage retries of steps 1 and 3 (config.retry).
+    std::optional<RetryState> retry;
+  };
+  // Starts a background replacement of every dead slot, unless one is
+  // already running or the eager policy is off.
+  void StartReplacement();
+  void AllocateSuccessors();
+  void OnSuccessorsAllocated();
+  // Step 2's progress: polls the successors' CQs, drops those whose
+  // transfer failed, and starts step 3 once the rest are caught up —
+  // otherwise waits for their next completion.
+  void ProgressJoin();
+  void InstallSuccessors();
+  void OnInstalled();
+  // A detached step cannot wait out a controller outage, so a step whose
+  // RPC timed out runs again after the retry policy's backoff, counted as
+  // a controller RPC retry. False when it did not time out or the policy
+  // is exhausted.
+  bool RetryStepLater(void (NclFile::*step)());
+  // Drops a running background replacement: cancels its pending event and
+  // closes the successors' QPs (their regions leak until the epoch GC).
+  void AbandonJoin();
+  // Runs `part` as a Simulation::Detach part whose spans are roots and
+  // schedules the member `then` at its end as the file's pending event.
+  void RunDetached(const std::function<void()>& part, void (NclFile::*then)());
   // Planned migration of a *live* slot's region to a fresh peer while
   // appends keep flowing: epoch bump, snapshot bulk copy, suffix catch-up
   // rounds (PostSuffix on the not-yet-member target) until the target acked
@@ -491,7 +559,8 @@ class NclFile {
   // contents are shipped to all of them together, and each commits with
   // the atomic mr-map switch. Slots whose leg failed are marked dead.
   void CatchUpViaStagedRegions(const std::vector<PeerSlot*>& slots);
-  Status WriteApMap();
+  // Records `peers` (slot order is lane order) at epoch_.
+  Status WriteApMap(const std::vector<std::string>& peers);
   void RefreshPeerNames();
 
   const Redundancy& scheme() const { return client_->redundancy_; }
@@ -533,6 +602,10 @@ class NclFile {
   // can ship suffixes instead of full-state reposts while appends race.
   bool migrating_ = false;
   uint64_t migrate_acked_floor_ = 0;
+  // The running background replacement, if any, and its pending event
+  // (a Detach end or a completion check; 0 when none is pending).
+  std::unique_ptr<Join> join_;
+  uint64_t join_event_ = 0;
 };
 
 }  // namespace splitft

@@ -79,6 +79,17 @@ class Tracer {
   // Records an interval measured off-stack (WR post→completion).
   void AddAsyncSpan(std::string_view name, SimTime start, SimTime end);
 
+  // Runs `fn` with the open spans set aside, so the spans it opens are
+  // roots: background work on its own timeline (a Simulation::Detach part)
+  // must not charge the spans of a caller that never waited for it.
+  template <typename Fn>
+  void Unnested(Fn&& fn) {
+    std::vector<OpenSpan> caller;
+    caller.swap(stack_);
+    fn();
+    caller.swap(stack_);
+  }
+
   // Aggregates by span name. Copy out and diff two snapshots to scope a
   // breakdown to one measurement window (see SpanDiff).
   const std::map<std::string, SpanStats>& aggregates() const {

@@ -120,6 +120,8 @@ struct Fabric::QpState {
   // its data and break the SQ-ordering guarantee NCL depends on.
   bool retrying = false;
   std::deque<WorkRequest> stalled;
+  // Armed completion notification (QueuePair::RequestNotify).
+  std::function<void()> notify;
 };
 
 Fabric::Fabric(Simulation* sim, const SimParams* params, ObsContext obs)
@@ -357,6 +359,11 @@ void Fabric::PushCompletion(const std::shared_ptr<QpState>& qp, uint64_t wr_id,
   }
   qp->cq.push_back(Completion{wr_id, status, std::move(read_data)});
   qp->outstanding--;
+  if (qp->notify) {
+    std::function<void()> fn = std::move(qp->notify);
+    qp->notify = nullptr;
+    fn();
+  }
 }
 
 void Fabric::CompleteWr(const std::shared_ptr<QpState>& qp,
@@ -488,6 +495,7 @@ QueuePair::QueuePair(Fabric* fabric, NodeId local, NodeId remote, bool warm)
 QueuePair::~QueuePair() {
   if (state_ != nullptr) {
     state_->closed = true;
+    state_->notify = nullptr;
   }
 }
 
@@ -607,6 +615,10 @@ bool QueuePair::PollCq(Completion* out) {
 }
 
 size_t QueuePair::Outstanding() const { return state_->outstanding; }
+
+void QueuePair::RequestNotify(std::function<void()> fn) {
+  state_->notify = std::move(fn);
+}
 
 bool QueuePair::in_error_state() const { return state_->error; }
 

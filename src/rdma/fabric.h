@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -317,6 +318,13 @@ class QueuePair {
 
   // Number of WRs posted but not yet surfaced in the CQ.
   size_t Outstanding() const;
+
+  // Completion notification (ibv_req_notify_cq): `fn` runs once, as soon
+  // as the next completion lands in this QP's CQ — inside the fabric event
+  // that produced it, so it should only schedule work. Poll the CQ empty
+  // before arming; re-arm for further completions. Destroying the QP
+  // disarms it.
+  void RequestNotify(std::function<void()> fn);
 
   // True once any WR failed; subsequent posts complete with kFlushError.
   bool in_error_state() const;

@@ -168,15 +168,42 @@ class Simulation {
   void Overlap(size_t parts, Fn&& part) {
     const SimTime start = now_;
     SimTime end = start;
-    overlapping_ = true;
+    const bool outer = in_part_;
+    in_part_ = true;
     for (size_t i = 0; i < parts; ++i) {
       now_ = start;
       part(i);
       end = std::max(end, now_);
     }
-    overlapping_ = false;
+    in_part_ = outer;
     now_ = end;
   }
+
+  // Runs `part` — Advance-only work, as in Overlap — on its own timeline
+  // from the current time, puts the clock back, and schedules `then` at the
+  // part's end. The caller carries on at the current time, so the part
+  // overlaps whatever runs next instead of stalling it: background work
+  // such as a peer replacement costs its actor time, not the caller's.
+  // The part's effects on shared state happen now, as in Overlap; only
+  // `then` observes the part's end time. Returns `then`'s cancellation
+  // token, which the owner of anything `then` captures must cancel before
+  // it goes away.
+  template <typename Part, typename Then>
+  uint64_t Detach(Part&& part, Then&& then) {
+    const SimTime start = now_;
+    const bool outer = in_part_;
+    in_part_ = true;
+    part();
+    in_part_ = outer;
+    const SimTime end = now_;
+    now_ = start;
+    return ScheduleCancelableAt(end, std::forward<Then>(then));
+  }
+
+  // True inside an Overlap or Detach part, where the clock is the part's
+  // own and running events is forbidden (code that would wait for one must
+  // give up instead).
+  bool in_part() const { return in_part_; }
 
   size_t pending_events() const { return queue_.size(); }
 
@@ -209,7 +236,7 @@ class Simulation {
   // one is not on the freelist until after invoke returns, so its storage
   // stays stable.
   void FireNode(sim_internal::EventNode* n) {
-    assert(!overlapping_ && "an Overlap part ran an event");
+    assert(!in_part_ && "an Overlap or Detach part ran an event");
     if (n->when > now_) {
       now_ = n->when;
     }
@@ -236,7 +263,7 @@ class Simulation {
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t heap_callables_ = 0;
-  bool overlapping_ = false;  // inside Overlap: the clock may be rewound
+  bool in_part_ = false;  // inside Overlap/Detach: the clock may be rewound
   sim_internal::EventArena arena_;
   sim_internal::EventQueue queue_;
 };

@@ -4,6 +4,7 @@
 // and the seeded random campaign with its safety/liveness invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -318,6 +319,7 @@ TEST_F(ChaosNclTest, LegacyPolicyStillReplacesImmediately) {
 
   PeerNamed((*file)->peer_names()[0])->Crash();
   ASSERT_TRUE((*file)->Append("y").ok());
+  sim_.RunUntilIdle();  // the replacement runs in the background
   EXPECT_EQ(client->peers_replaced(), 1);
   EXPECT_EQ(ClientCounter("permanent_demotions"), 1u);
   EXPECT_EQ(ClientCounter("suspect_retries"), 0u);
@@ -478,6 +480,7 @@ TEST_F(ChaosNclTest, PeerKilledMidWindowIsDemotedWithoutLosingAckedAppends) {
     ASSERT_TRUE((*file)->Drain().ok());
     EXPECT_EQ((*file)->committed_seq(), (*file)->seq());
     EXPECT_GE(ClientCounter("permanent_demotions"), 1u);
+    sim_.RunUntilIdle();  // the replacement runs in the background
     EXPECT_GE(client->peers_replaced(), 1);
     auto contents = (*file)->Read(0, (*file)->size());
     ASSERT_TRUE(contents.ok());
@@ -564,6 +567,165 @@ TEST_F(ChaosNclTest, FreshPeerCrashDuringCatchUpLegKeepsSurvivingLeg) {
   EXPECT_EQ(*contents, expect) << "acked appends lost across the failed leg";
 }
 
+// Faults inside a background replacement's window (DESIGN.md §6). The
+// successor's region is large enough that its bulk copy takes milliseconds,
+// so the window has a copy phase to land faults in.
+class ChaosJoinTest : public ChaosNclTest {
+ protected:
+  static constexpr uint64_t kCapacity = 64ull << 20;
+
+  NclConfig Config() {
+    NclConfig config;
+    config.app_id = "chaos-test";
+    return config;
+  }
+
+  // Fills the log with 8 MiB, then crashes `victim`.
+  void FillAndCrash(NclFile* file, const std::string& victim) {
+    for (int i = 0; i < 8; ++i) {
+      Append(file, std::string(1 << 20, static_cast<char>('a' + i)));
+    }
+    ASSERT_TRUE(file->Drain().ok());
+    PeerNamed(victim)->Crash();
+  }
+
+  void Append(NclFile* file, const std::string& rec) {
+    ASSERT_TRUE(file->Append(rec).ok());
+    expect_ += rec;
+  }
+
+  // Appends small records every 100 µs until the successor's bulk copy is
+  // posted (the fabric's write bytes jump by the log size).
+  void AppendUntilCopyPosted(NclFile* file) {
+    const uint64_t before =
+        fabric_.metrics().CounterValue("fabric.wr.write_bytes");
+    const SimTime give_up = sim_.Now() + Seconds(1);
+    while (fabric_.metrics().CounterValue("fabric.wr.write_bytes") <
+               before + (4u << 20) &&
+           sim_.Now() < give_up) {
+      sim_.RunUntil(sim_.Now() + Micros(100));
+      Append(file, "j;");
+    }
+    ASSERT_LT(sim_.Now(), give_up) << "no bulk copy was posted";
+  }
+
+  // The spare (not among `members`) that holds a region for the file.
+  LogPeer* Successor(const std::vector<std::string>& members) {
+    for (auto& peer : peers_) {
+      if (std::find(members.begin(), members.end(), peer->name()) ==
+              members.end() &&
+          peer->alive() && peer->active_regions() > 0) {
+        return peer.get();
+      }
+    }
+    return nullptr;
+  }
+
+  void ExpectRecoversExactly() {
+    sim_.RunUntilIdle();
+    auto client = MakeClient(Config());
+    auto recovered = client->Recover("wal");
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    auto contents = (*recovered)->Read(0, (*recovered)->size());
+    ASSERT_TRUE(contents.ok());
+    EXPECT_TRUE(*contents == expect_)
+        << "recovered " << contents->size() << " of " << expect_.size()
+        << " acked bytes";
+  }
+
+  std::string expect_;
+};
+
+TEST_F(ChaosJoinTest, SecondCrashDuringBackgroundWindowTakesOverSynchronously) {
+  // A second member dies while the first one's successor is joining: the
+  // quorum is lost, so the blocked append abandons the background
+  // replacement and replaces both dead slots in one step.
+  StartPeers(6);
+  {
+    auto client = MakeClient(Config());
+    auto file = client->Create("wal", kCapacity);
+    ASSERT_TRUE(file.ok());
+    const std::vector<std::string> members = (*file)->peer_names();
+    FillAndCrash(file->get(), members[0]);
+    Append(file->get(), "detect;");
+    AppendUntilCopyPosted(file->get());
+    EXPECT_EQ(client->peers_replaced(), 0);
+    PeerNamed(members[1])->Crash();
+    Append(file->get(), "blocked;");
+    EXPECT_EQ((*file)->alive_peers(), 3);
+    EXPECT_EQ(client->peers_replaced(), 2);
+    auto apmap = controller_.GetApMap("chaos-test", "wal");
+    ASSERT_TRUE(apmap.ok());
+    EXPECT_EQ(apmap->peers[2], members[2]);
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_NE(apmap->peers[i], members[0]);
+      EXPECT_NE(apmap->peers[i], members[1]);
+    }
+    Append(file->get(), "tail;");
+    // The app crashes without a clean shutdown.
+  }
+  ExpectRecoversExactly();
+}
+
+TEST_F(ChaosJoinTest, FreshPeerCrashMidCopyNeverJoins) {
+  // The successor crashes while its bulk copy is in flight: it is dropped
+  // without entering the ap-map, and a later append starts over on another
+  // spare.
+  StartPeers(5);
+  {
+    auto client = MakeClient(Config());
+    auto file = client->Create("wal", kCapacity);
+    ASSERT_TRUE(file.ok());
+    const std::vector<std::string> members = (*file)->peer_names();
+    FillAndCrash(file->get(), members[2]);
+    Append(file->get(), "detect;");
+    AppendUntilCopyPosted(file->get());
+    LogPeer* successor = Successor(members);
+    ASSERT_NE(successor, nullptr);
+    const std::string doomed = successor->name();
+    successor->Crash();
+    // Appends carry on; once the failed copy is noticed, the next append
+    // starts a fresh replacement, which installs the other spare.
+    const SimTime give_up = sim_.Now() + Seconds(1);
+    while (client->peers_replaced() == 0 && sim_.Now() < give_up) {
+      sim_.RunUntil(sim_.Now() + Millis(1));
+      Append(file->get(), "k;");
+    }
+    EXPECT_EQ(client->peers_replaced(), 1);
+    auto apmap = controller_.GetApMap("chaos-test", "wal");
+    ASSERT_TRUE(apmap.ok());
+    for (const std::string& name : apmap->peers) {
+      EXPECT_NE(name, doomed);
+      EXPECT_NE(name, members[2]);
+    }
+    EXPECT_EQ((*file)->alive_peers(), 3);
+  }
+  ExpectRecoversExactly();
+}
+
+TEST_F(ChaosJoinTest, AppCrashBeforeInstallLeavesApMapUntouched) {
+  // The app dies while the successor is joining: its pending events die
+  // with the client, the successor never appears in the ap-map, and
+  // recovery from the old membership returns every acked byte.
+  StartPeers(4);
+  std::vector<std::string> members;
+  {
+    auto client = MakeClient(Config());
+    auto file = client->Create("wal", kCapacity);
+    ASSERT_TRUE(file.ok());
+    members = (*file)->peer_names();
+    FillAndCrash(file->get(), members[1]);
+    Append(file->get(), "detect;");
+    AppendUntilCopyPosted(file->get());
+    EXPECT_EQ(client->peers_replaced(), 0);
+  }
+  sim_.RunUntilIdle();
+  auto apmap = controller_.GetApMap("chaos-test", "wal");
+  ASSERT_TRUE(apmap.ok());
+  EXPECT_EQ(apmap->peers, members);
+  ExpectRecoversExactly();
+}
+
 // ------------------------------------------------ ChaosEngine + Testbed --
 
 TEST(ChaosEngineTest, InjectsAndHealsAgainstTestbed) {
@@ -644,6 +806,8 @@ TEST(Fig12ScenarioTest, DoubleCrashQuorumLossReplacementAndRecovery) {
   // One more crash: no quorum loss, just a blip.
   testbed.peer(2)->Crash();
   put_range(200, 300);
+  // That replacement runs in the background; give it Table 3's ~97 ms.
+  testbed.sim()->RunUntil(testbed.sim()->Now() + Millis(200));
   EXPECT_GE(server->fs->ncl()->peers_replaced(), 3);
 
   // The server process dies; a fresh instance recovers from the surviving

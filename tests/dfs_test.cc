@@ -202,6 +202,18 @@ TEST_F(DfsTest, PeriodicFlusherMakesWeakDataEventuallyDurable) {
   EXPECT_EQ((*reopened)->Size(), 25u);
 }
 
+TEST_F(DfsTest, DestroyedClientCancelsItsPeriodicFlusher) {
+  // The flush event captures its client; a client torn down (say, with
+  // its crashed app server) must not leave it behind to fire.
+  const size_t before = sim_.pending_events();
+  auto client = std::make_unique<DfsClient>(&cluster_, "short-lived");
+  client->StartPeriodicFlusher();
+  EXPECT_EQ(sim_.pending_events(), before + 1);
+  client.reset();
+  EXPECT_EQ(sim_.pending_events(), before);
+  sim_.RunUntil(sim_.Now() + 2 * params_.dfs.flush_interval);
+}
+
 TEST_F(DfsTest, CachedReadIsFasterThanFirstRead) {
   auto file = client_.Open("/log");
   ASSERT_TRUE(file.ok());

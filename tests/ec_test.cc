@@ -385,6 +385,7 @@ TEST_F(EcClusterTest, DegradedByParityWidthKeepsAcking) {
     }
     ASSERT_TRUE((*file)->Drain().ok());
     // The dead shards were rebuilt on spares (background repair).
+    sim_.RunUntilIdle();
     EXPECT_GE(metrics_.CounterValue("ncl.client.peers_replaced"), 2u);
     EXPECT_GE(client->peers_replaced(), 2);
   }
@@ -461,6 +462,7 @@ TEST_F(EcClusterTest, DegradedStripesGaugeStaysBoundedAndSnapsBack) {
     ASSERT_TRUE((*file)->Append(std::string(100, 'y')).ok());
   }
   ASSERT_TRUE((*file)->Drain().ok());
+  sim_.RunUntilIdle();  // the repair runs in the background
   EXPECT_GE(metrics_.CounterValue("ncl.client.peers_replaced"), 1u);
   EXPECT_LE(GaugeValue("ncl.ec.degraded_stripes"), config.inflight_window);
 }
@@ -586,6 +588,22 @@ TEST(EcModelCheckTest, EcSurvivesPeerCrashesWithLaggardDelivery) {
   config.max_app_crashes = 2;
   config.spare_peers = 1;
   config.ec_drain_on_crash = true;
+  McResult result = CheckNcl(config);
+  EXPECT_FALSE(result.violation_found) << result.violation;
+  EXPECT_TRUE(result.exhausted);
+}
+
+TEST(EcModelCheckTest, BackgroundReplacementIsSafeUnderEc) {
+  // The joining successor of a lost shard lane only counts among the k
+  // late-binding acks once the ap-map names it (DESIGN.md §6).
+  McConfig config;
+  config.ec_k = 2;
+  config.ec_m = 2;
+  config.max_writes = 2;
+  config.max_peer_crashes = 1;
+  config.max_app_crashes = 2;
+  config.spare_peers = 1;
+  config.max_joins = 1;
   McResult result = CheckNcl(config);
   EXPECT_FALSE(result.violation_found) << result.violation;
   EXPECT_TRUE(result.exhausted);

@@ -129,6 +129,35 @@ TEST(ModelCheckTest, StaleCutoverBugIsCaught) {
       << "checker missed the stale-snapshot cutover bug";
 }
 
+TEST(ModelCheckTest, BackgroundReplacementIsSafe) {
+  // DESIGN.md §6: a dead or demoted member's successor joins behind its
+  // snapshot copy while writes keep being acknowledged by the members, and
+  // is installed only once it holds every acknowledged write. Demoted
+  // members keep their stale regions and answer recovery.
+  McConfig config = SmallConfig();
+  config.max_writes = 3;
+  config.max_joins = 1;
+  McResult result = CheckNcl(config);
+  EXPECT_FALSE(result.violation_found) << result.violation;
+  EXPECT_TRUE(result.exhausted) << "state space not fully explored";
+  config.max_joins = 0;
+  McResult base = CheckNcl(config);
+  EXPECT_GT(result.states_explored, base.states_explored);
+}
+
+TEST(ModelCheckTest, JoinCountsBeforeInstallBugIsCaught) {
+  // Counting the joining target toward the ack quorum before its ap-map
+  // write: an app crash before the install leaves an acknowledged write on
+  // f members, and the demoted member's stale region outvotes it.
+  McConfig config = SmallConfig();
+  config.max_joins = 1;
+  config.bug_join_counts_before_install = true;
+  McResult result = CheckNcl(config);
+  ASSERT_TRUE(result.violation_found);
+  EXPECT_NE(result.violation.find("externalized"), std::string::npos)
+      << result.violation;
+}
+
 TEST(ModelCheckTest, StateCapRespected) {
   McConfig config = SmallConfig();
   config.max_states = 100;

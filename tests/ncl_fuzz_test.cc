@@ -77,6 +77,11 @@ std::string RandomPayload(Rng* rng) {
   return out;
 }
 
+uint64_t AppEpoch(NclFuzzFixture& fixture) {
+  auto epoch = fixture.controller_.GetAppEpoch("fuzz-app");
+  return epoch.ok() ? *epoch : 0;
+}
+
 // One full fuzz episode for a given seed. Peer crashes are throttled so a
 // majority always survives between operations (replacement restores the
 // budget); app crashes trigger recovery and an exact content comparison.
@@ -90,6 +95,7 @@ void RunEpisode(uint64_t seed) {
   ASSERT_TRUE(file.ok());
   Reference reference;
   int crashes_since_op = 0;
+  uint64_t fault_epoch = 0;  // app epoch at the last effective fault
 
   const int ops = 60;
   for (int i = 0; i < ops; ++i) {
@@ -121,10 +127,18 @@ void RunEpisode(uint64_t seed) {
       reference.Truncate();
       crashes_since_op = 0;
     } else if (action < 82 && crashes_since_op == 0) {
-      // Fail one currently-assigned peer (crash or revocation); the next
+      // Fail one currently-assigned peer (crash or revocation); a later
       // operation will detect it and replace it. Keep enough peers alive
       // that a replacement is always possible — otherwise unavailability
-      // is the *correct* outcome and exactness cannot be asserted.
+      // is the *correct* outcome and exactness cannot be asserted. The
+      // replacement runs in the background, and detection waits for a
+      // write that reaches the victim, so the budget is only restored once
+      // the epoch moved past the last fault's (a replacement or recovery
+      // bumps it): let background work finish, and hold faults until then.
+      fixture.sim_.RunUntilIdle();
+      if (AppEpoch(fixture) <= fault_epoch) {
+        continue;
+      }
       int alive = 0;
       for (const auto& peer : fixture.peers_) {
         if (peer->alive()) {
@@ -137,11 +151,15 @@ void RunEpisode(uint64_t seed) {
       if (peer != nullptr && peer->alive()) {
         if (rng.Bernoulli(0.3)) {
           // NotFound when the peer never held the region is expected.
-          DiscardStatus(peer->Revoke("fuzz-app", "/fuzz-log"),
-                        "fuzz revoke");
+          Status revoked = peer->Revoke("fuzz-app", "/fuzz-log");
+          if (revoked.ok()) {
+            fault_epoch = AppEpoch(fixture);
+          }
+          DiscardStatus(revoked, "fuzz revoke");
           crashes_since_op = 1;
         } else if (alive > 4 || rng.Bernoulli(0.5)) {
           peer->Crash();
+          fault_epoch = AppEpoch(fixture);
           // Restart unconditionally when the pool is running low.
           if (alive <= 4 || rng.Bernoulli(0.5)) {
             ASSERT_TRUE(peer->Restart().ok());

@@ -709,7 +709,9 @@ TEST_F(NclTest, SinglePeerCrashDoesNotBlockWrites) {
   PeerNamed((*file)->peer_names()[0])->Crash();
   ASSERT_TRUE((*file)->Append("after").ok());
   EXPECT_EQ(Contents(file->get()), "beforeafter");
-  // The failed peer was replaced with the spare (p3) and caught up.
+  // The failed peer was replaced with the spare (p3) and caught up, in the
+  // background.
+  sim_.RunUntilIdle();
   EXPECT_EQ(client->peers_replaced(), 1);
   EXPECT_EQ((*file)->alive_peers(), 3);
   auto apmap = controller_.GetApMap("test-app", "/wal/1");
@@ -764,6 +766,7 @@ TEST_F(NclTest, TwoCrashesAreReplacedInOneStep) {
     auto before = tracer_.Snapshot();
     PeerNamed((*file)->peer_names()[0])->Crash();
     ASSERT_TRUE(append(std::string(4096, 'b')).ok());
+    sim_.RunUntilIdle();  // the replacement runs in the background
     auto one = SpanDiff(before, tracer_.Snapshot()).at("ncl.replace_slot");
     ASSERT_EQ(one.count, 1u);
 
@@ -992,6 +995,7 @@ TEST_F(NclTest, MemoryRevocationTreatedAsPeerFailure) {
   ASSERT_TRUE(PeerNamed(victim)->Revoke("test-app", "/wal/1").ok());
   ASSERT_TRUE((*file)->Append("after").ok());
   EXPECT_EQ(Contents(file->get()), "beforeafter");
+  sim_.RunUntilIdle();  // the replacement runs in the background
   EXPECT_EQ(client->peers_replaced(), 1);
   for (const std::string& name : (*file)->peer_names()) {
     EXPECT_NE(name, victim);
@@ -1369,6 +1373,107 @@ INSTANTIATE_TEST_SUITE_P(
                           {200, 200, 200}, 16},
         AppendTrafficCase{"ec_k2m2_u64", EcGeometry{2, 2, 64}, 2, 200,
                           {80, 120, 192, 192}, 32}),
+    [](const auto& param_info) { return param_info.param.name; });
+
+// A single crash that keeps the ack quorum is repaired in the background
+// (DESIGN.md §6), under both redundancy schemes.
+struct ReplacementCase {
+  const char* name;
+  std::optional<EcGeometry> ec;
+  int fault_budget;
+  int width;
+};
+
+class NclBackgroundReplacementTest
+    : public NclTest,
+      public ::testing::WithParamInterface<ReplacementCase> {};
+
+TEST_P(NclBackgroundReplacementTest, SingleCrashIsReplacedOffTheWritePath) {
+  const ReplacementCase& c = GetParam();
+  // Table 3's detection-to-install total for a 64 MiB region.
+  constexpr SimTime kTable3Total = Millis(96.6);
+  StartPeers(c.width + 1);
+  NclConfig config;
+  config.app_id = "test-app";
+  config.ec = c.ec;
+  config.fault_budget = c.fault_budget;
+  const std::string spare = "p" + std::to_string(c.width);
+  std::string oracle;
+  std::vector<std::string> members;
+  SimTime install_deadline = 0;
+  std::vector<SimTime> append_times;
+  {
+    auto client = MakeClient(config);
+    auto file = client->Create("/wal/1", 64ull << 20);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    auto append = [&](char fill, size_t len) {
+      std::string rec(len, fill);
+      oracle += rec;
+      Status st = (*file)->Append(rec);
+      append_times.push_back(sim_.Now());
+      return st;
+    };
+    // An 8 MiB log, so the successor's bulk copy takes milliseconds.
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(append(static_cast<char>('a' + i), 1 << 20).ok());
+    }
+    ASSERT_TRUE((*file)->Drain().ok());
+    members = (*file)->peer_names();
+    auto before = controller_.GetApMap("test-app", "/wal/1");
+    ASSERT_TRUE(before.ok());
+
+    // The detecting append costs microseconds, not the replacement.
+    PeerNamed(members.back())->Crash();
+    const SimTime detected = sim_.Now();
+    ASSERT_TRUE(append('x', 512).ok());
+    EXPECT_LT(sim_.Now() - detected, Millis(1));
+
+    // Appends keep flowing while the successor is allocated, copied and
+    // installed; within 1.2x Table 3's total the ap-map names it at a new
+    // epoch.
+    install_deadline = detected + kTable3Total * 12 / 10;
+    auto installed = [&] {
+      auto apmap = controller_.GetApMap("test-app", "/wal/1");
+      return apmap.ok() && apmap->peers.back() == spare &&
+             apmap->epoch > before->epoch;
+    };
+    while (!installed() && sim_.Now() < install_deadline) {
+      sim_.RunUntil(sim_.Now() + Micros(200));
+      ASSERT_TRUE(append('y', 512).ok());
+    }
+    ASSERT_TRUE(installed()) << "not installed within 1.2x Table 3's total";
+    ASSERT_TRUE(append('z', 512).ok());
+    EXPECT_EQ(client->peers_replaced(), 1);
+    // The app crashes without a clean shutdown.
+  }
+  // Some appends were made while the successor's bulk copy was in flight.
+  int during_copy = 0;
+  for (const SpanEvent& ev : tracer_.events()) {
+    if (ev.name == "ncl.catchup.bulk") {
+      for (SimTime t : append_times) {
+        during_copy += (t > ev.start && t < ev.end) ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(during_copy, 0);
+  sim_.RunUntilIdle();
+  // Lose f of the original members too: recovery then needs the successor.
+  for (int i = 0; i < c.fault_budget; ++i) {
+    PeerNamed(members[i])->Crash();
+  }
+  auto client2 = MakeClient(config);
+  auto recovered = client2->Recover("/wal/1");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(Contents(recovered->get()) == oracle)
+      << "recovered " << (*recovered)->size() << " of " << oracle.size()
+      << " acked bytes";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, NclBackgroundReplacementTest,
+    ::testing::Values(
+        ReplacementCase{"replication_f1", std::nullopt, 1, 3},
+        ReplacementCase{"ec_k2m2", EcGeometry{2, 2, 4096}, 2, 4}),
     [](const auto& param_info) { return param_info.param.name; });
 
 // Parameterized across failure budgets: the protocol works for any f.

@@ -293,6 +293,8 @@ TEST_F(MigrationTest, SourceCrashMidCopySupersedesMigration) {
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_TRUE(replacement_append_ok);
   EXPECT_EQ(client->regions_migrated(), 0);
+  // The replacement runs in the background; give it Table 3's ~97 ms.
+  testbed_.sim()->RunUntil(testbed_.sim()->Now() + Millis(200));
   EXPECT_GE(client->peers_replaced(), 1);
   EXPECT_FALSE(IsMember(**file, victim));
 

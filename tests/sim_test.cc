@@ -129,6 +129,32 @@ TEST(SimulationTest, OverlapTakesTheSlowestPartNotTheSum) {
   EXPECT_EQ(fired[3], std::make_pair(Micros(131), 3));
 }
 
+TEST(SimulationTest, DetachRunsThePartOnItsOwnTimeline) {
+  Simulation sim;
+  sim.Advance(Micros(100));
+  bool inside = false;
+  SimTime then_at = -1;
+  sim.Detach(
+      [&] {
+        inside = sim.in_part();
+        sim.Advance(Micros(50));
+      },
+      [&] { then_at = sim.Now(); });
+  EXPECT_TRUE(inside);
+  EXPECT_FALSE(sim.in_part());
+  // The caller carries on at once; `then` runs at the part's end.
+  EXPECT_EQ(sim.Now(), Micros(100));
+  sim.RunUntilIdle();
+  EXPECT_EQ(then_at, Micros(150));
+  // A cancelled `then` never runs.
+  then_at = -1;
+  uint64_t token = sim.Detach([&] { sim.Advance(Micros(5)); },
+                              [&] { then_at = sim.Now(); });
+  sim.Cancel(token);
+  sim.RunUntilIdle();
+  EXPECT_EQ(then_at, -1);
+}
+
 TEST(SimParamsTest, DfsSmallWriteMatchesPaperFig1d) {
   SimParams params;
   // 512 B synchronous write ~ 2.1 ms  =>  ~249 KB/s as in Fig 1(d).

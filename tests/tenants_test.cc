@@ -130,6 +130,35 @@ TEST_F(TenantsTest, ManyTenantsMultiplexOntoBoundedQps) {
   }
 }
 
+TEST_F(TenantsTest, RequestNotifyFiresOnceForItsOwnerOnly) {
+  LogPeer* peer = AddPeer("p0");
+  auto rkey = fabric_.RegisterRegion(peer->node(), 4096);
+  ASSERT_TRUE(rkey.ok());
+  // Handles go round-robin over the lanes: the first and the last of
+  // qps_per_peer + 1 share one.
+  std::vector<std::unique_ptr<PooledQp>> qps;
+  for (int i = 0; i <= pool_->options().qps_per_peer; ++i) {
+    qps.push_back(pool_->Connect(peer->node()));
+  }
+  PooledQp* mine = qps.front().get();
+  PooledQp* cotenant = qps.back().get();
+  int fired = 0;
+  mine->RequestNotify([&] { fired++; });
+  cotenant->PostWrite(*rkey, 0, "x");
+  sim_.RunUntilIdle();
+  EXPECT_EQ(fired, 0);  // a co-tenant's completion on the shared lane
+  mine->PostWrite(*rkey, 0, "y");
+  mine->PostWrite(*rkey, 8, "z");
+  sim_.RunUntilIdle();
+  EXPECT_EQ(fired, 1);  // once, until re-armed
+  Completion c;
+  int polled = 0;
+  while (mine->PollCq(&c)) {
+    polled++;
+  }
+  EXPECT_EQ(polled, 2);
+}
+
 TEST_F(TenantsTest, PooledPeerCrashMassReRegistration) {
   // Every tenant is resident on all three peers; a fourth spare comes up
   // before the crash so replacements have somewhere to land.
@@ -164,7 +193,9 @@ TEST_F(TenantsTest, PooledPeerCrashMassReRegistration) {
     oracle[i] += rec;
   }
 
-  // Zero lost acked appends: every tenant's full history reads back.
+  // Zero lost acked appends: every tenant's full history reads back once
+  // the background replacements finished.
+  sim_.RunUntilIdle();
   for (int i = 0; i < tenants_n; ++i) {
     EXPECT_EQ(files[i]->alive_peers(), 3) << "tenant " << i;
     EXPECT_EQ(tenants[i]->peers_replaced(), 1) << "tenant " << i;
@@ -203,6 +234,7 @@ TEST_F(TenantsTest, CollateralFlushesRewrittenForCoTenants) {
   peers_[0]->Crash();
   ASSERT_TRUE((*fa)->Append("a1").ok());
   ASSERT_TRUE((*fb)->Append("b1").ok());
+  sim_.RunUntilIdle();  // the replacements run in the background
   EXPECT_EQ((*fa)->alive_peers(), 3);
   EXPECT_EQ((*fb)->alive_peers(), 3);
   auto ca = (*fa)->Read(0, (*fa)->size());

@@ -81,6 +81,9 @@ EPOCH_FENCE_ALLOWED = {
             "NclClient::Create",  # fresh file: epoch 0 ap-map publish
             "NclClient::Recover",  # recovery: bump precedes (§4.5.1)
             "NclFile::ReplaceSlots",  # crash repair: bump-then-write
+            # background crash repair: AllocateSuccessors bumps first, and
+            # the write is dropped if the epoch moved on since
+            "NclFile::InstallSuccessors",
             "NclFile::MigrateSlot",  # planned migration: bump-then-write
             "NclFile::WriteApMap",  # the wrapper's own definition
         )
