@@ -31,9 +31,9 @@ uint64_t MaxReads() { return bench::SmokeFromEnv() ? 1000 : 20000; }
 // The paper-figure sections run the seed-calibrated single-pipe dfs so
 // their numbers stay comparable across PRs; the striping subsections
 // contrast it with the default three-server backend.
-TestbedOptions LegacyDfs(int dfs_servers = 1) {
+TestbedOptions LegacyDfs(int servers = 1) {
   TestbedOptions options;
-  options.dfs_servers = dfs_servers;
+  options.params.dfs.num_servers = servers;
   return options;
 }
 
@@ -228,11 +228,11 @@ void SectionB(bench::Reporter* reporter) {
   // log parsing, so the window both breaks down and (acceptance) accounts
   // for >= 95% of the end-to-end recovery time.
   auto measure = [&](const char* app_tag, DurabilityMode mode, bool traced,
-                     auto&& open_app, auto&& load, int dfs_servers = 1) {
+                     auto&& open_app, auto&& load, int servers = 1) {
     Measured m;
     TestbedOptions options;
     options.tracing = traced;
-    options.dfs_servers = dfs_servers;
+    options.params.dfs.num_servers = servers;
     Testbed testbed(options);
     std::string app = std::string("fig11b-") + app_tag + "-" +
                       std::string(DurabilityModeName(mode));
@@ -342,7 +342,7 @@ void SectionB(bench::Reporter* reporter) {
     // backend's parallel recovery reads show up here directly.
     Measured dft_s3 = measure(row.name, DurabilityMode::kStrong,
                               /*traced=*/false, row.open_app, row.load,
-                              /*dfs_servers=*/3);
+                              /*servers=*/3);
     current.reset();
     SimTime parse = phase(splitft, "app.recover.replay");
     std::printf("  %-10s %10.2fs %10.2fs %10.2fs %10.2fs   get-peer=%s "

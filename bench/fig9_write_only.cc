@@ -19,11 +19,11 @@ enum class App { kKv, kRedis, kSqlite };
 
 HarnessResult RunPoint(App app, DurabilityMode mode, int clients,
                        uint64_t target_ops, uint64_t records,
-                       int dfs_servers = 1) {
+                       int servers = 1) {
   // The paper-figure sweep runs the seed-calibrated single-pipe dfs so its
   // curves stay comparable across PRs; the striping subsection passes 3.
   TestbedOptions testbed_options;
-  testbed_options.dfs_servers = dfs_servers;
+  testbed_options.params.dfs.num_servers = servers;
   Testbed testbed(testbed_options);
   std::string id = std::string("fig9-") + std::to_string(static_cast<int>(app)) +
                    "-" + std::string(DurabilityModeName(mode));

@@ -1,6 +1,7 @@
 #include "src/chaos/campaign.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -107,6 +108,32 @@ int RecoverableHolders(const CampaignOptions& options) {
   return Redundancy(options.fault_budget, options.ec).ack_quorum();
 }
 
+// Background replacement starts one dead slot may cost in `elapsed`: the
+// first, then one per backoff interval of `policy` that fits, each interval
+// at its shortest jitter (NclFile::StartReplacement holds a start off for
+// a backoff after one that found no spare peer).
+uint64_t ReplacementStartsWithin(const RetryPolicy& policy, SimTime elapsed) {
+  const double cap = static_cast<double>(policy.max_backoff);
+  auto shortest = [&](double backoff) {
+    return std::max(1.0, std::floor((1 - policy.jitter) * backoff));
+  };
+  double backoff = std::min(cap, static_cast<double>(policy.initial_backoff));
+  double waited = 0;
+  uint64_t starts = 1;
+  // The growing intervals (a handful), then the capped one repeated.
+  while (backoff < cap && policy.multiplier > 1) {
+    waited += shortest(backoff);
+    if (waited > static_cast<double>(elapsed)) {
+      return starts;
+    }
+    ++starts;
+    backoff = std::min(cap, backoff * policy.multiplier);
+  }
+  return starts + static_cast<uint64_t>(
+                      (static_cast<double>(elapsed) - waited) /
+                      shortest(backoff));
+}
+
 void AddViolation(CampaignResult* result, uint64_t seed,
                   const std::string& invariant, const std::string& detail,
                   const std::string& schedule) {
@@ -149,6 +176,7 @@ struct ClientCounters {
   uint64_t controller_rpc_retries = 0;
   uint64_t directory_lookup_retries = 0;
   uint64_t release_failures = 0;
+  uint64_t replacement_starts = 0;
 };
 
 ClientCounters ReadClientCounters(const MetricsRegistry& metrics) {
@@ -164,6 +192,8 @@ ClientCounters ReadClientCounters(const MetricsRegistry& metrics) {
   c.directory_lookup_retries =
       metrics.CounterValue("ncl.client.directory_lookup_retries");
   c.release_failures = metrics.CounterValue("ncl.client.release_failures");
+  c.replacement_starts =
+      metrics.CounterValue("ncl.client.replacement_starts");
   return c;
 }
 
@@ -180,6 +210,8 @@ void Accumulate(CampaignStats* stats, const ClientCounters& now,
   stats->directory_lookup_retries +=
       now.directory_lookup_retries - base.directory_lookup_retries;
   stats->release_failures += now.release_failures - base.release_failures;
+  stats->replacement_starts +=
+      now.replacement_starts - base.replacement_starts;
 }
 
 }  // namespace
@@ -230,6 +262,7 @@ void RunChaosSchedule(uint64_t seed, const CampaignOptions& options,
   }
 
   // Unleash the schedules and drive the append workload across them.
+  const SimTime workload_start = cluster.sim.Now();
   engine.Schedule(plan);
   std::unique_ptr<ReconfigEngine> reconfig;
   if (options.with_reconfig) {
@@ -293,10 +326,26 @@ void RunChaosSchedule(uint64_t seed, const CampaignOptions& options,
     }
     break;
   }
+  // Invariant 5: a dead slot with no spare to take it costs an epoch bump
+  // per backoff interval, not one per append.
+  ClientCounters workload_counters = ReadClientCounters(cluster.metrics);
+  uint64_t allowed =
+      workload_counters.permanent_demotions *
+      ReplacementStartsWithin(options.retry,
+                              cluster.sim.Now() - workload_start);
+  if (workload_counters.replacement_starts > allowed) {
+    AddViolation(result, seed, "replacement-churn",
+                 std::to_string(workload_counters.replacement_starts) +
+                     " background replacement starts (epoch bumps) for " +
+                     std::to_string(workload_counters.permanent_demotions) +
+                     " dead slot(s); the backoff admits " +
+                     std::to_string(allowed),
+                 schedule);
+    return;
+  }
   result->stats.faults_injected += engine.faults_injected();
   result->stats.peers_replaced += client.peers_replaced();
   result->stats.regions_migrated += client.regions_migrated();
-  ClientCounters workload_counters = ReadClientCounters(cluster.metrics);
   Accumulate(&result->stats, workload_counters);
 
   // Crash the application: drop the file handle without releasing anything,

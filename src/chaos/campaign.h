@@ -8,6 +8,9 @@
 //   3. The file only becomes unavailable when more than f of its current
 //      peers are faulty (quorum accounting never exceeds the fault budget).
 //   4. Every stall eventually unblocks (bounded virtual time per append).
+//   5. Background replacement starts (each an app-epoch bump) stay within
+//      the retry policy's backoff schedule per dead slot, also when no
+//      spare peer can take the slot.
 //
 // A violating seed is reported with its full fault schedule; re-running
 // with SPLITFT_SEED=<seed> reproduces exactly that schedule.
@@ -92,6 +95,7 @@ struct CampaignStats {
   uint64_t controller_rpc_retries = 0;
   uint64_t directory_lookup_retries = 0;
   uint64_t release_failures = 0;
+  uint64_t replacement_starts = 0;  // background; each bumps the app epoch
 };
 
 struct CampaignResult {

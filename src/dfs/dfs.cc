@@ -77,16 +77,6 @@ void DfsCluster::AddStripeShares(uint64_t offset, uint64_t len,
   }
 }
 
-SimTime DfsCluster::AcquirePipe(SimTime duration, bool foreground) {
-  SimTime start = std::max(sim_->Now(), pipe_busy_[0]);
-  SimTime done = start + duration;
-  pipe_busy_[0] = done;
-  if (foreground) {
-    sim_->AdvanceTo(done);
-  }
-  return done;
-}
-
 Status DfsCluster::TakeServerOffline(int server) {
   if (num_servers_ == 1) {
     return FailedPreconditionError(
@@ -145,9 +135,20 @@ Status DfsCluster::BringServerOnline(int server) {
 }
 
 SimTime DfsCluster::FanOut(const std::vector<uint64_t>& shares,
-                           SimTime client_base, SimTime server_base,
-                           double bytes_per_ns, bool foreground, bool is_write,
-                           SimTime* ideal_ns) {
+                           bool foreground, bool is_write, SimTime* ideal_ns) {
+  const DfsParams& dfs = params_->dfs;
+  SimTime client_base =
+      is_write ? dfs.stripe_client_base : dfs.stripe_client_read_base;
+  SimTime server_base =
+      is_write ? dfs.stripe_server_base : dfs.stripe_server_read_base;
+  if (num_servers_ == 1) {
+    // The seed's single pipe: its calibrated base carries the whole fixed
+    // cost, so the client dispatch is free.
+    client_base = 0;
+    server_base = is_write ? dfs.sync_base_latency : dfs.remote_read_base;
+  }
+  double bytes_per_ns =
+      is_write ? dfs.write_bytes_per_ns : dfs.read_bytes_per_ns;
   // Route around an offline server: its stripe shares go to the next
   // online server's pipe; missed write bytes accrue as replay backlog.
   const std::vector<uint64_t>* routed = &shares;
@@ -309,17 +310,7 @@ uint64_t DfsClient::BackgroundFlushAll() {
     }
     st.dirty.clear();
     st.dirty_bytes = 0;
-    const DfsParams& dfs = cluster_->params_->dfs;
-    if (cluster_->num_servers_ == 1) {
-      cluster_->AcquirePipe(cluster_->params_->DfsSyncWriteLatency(bytes),
-                            /*foreground=*/false);
-      ObsAdd(cluster_->c_server_bytes_written_[0], bytes);
-      ObsAdd(cluster_->c_server_ops_[0]);
-    } else {
-      cluster_->FanOut(shares, dfs.stripe_client_base, dfs.stripe_server_base,
-                       dfs.write_bytes_per_ns, /*foreground=*/false,
-                       /*is_write=*/true);
-    }
+    cluster_->FanOut(shares, /*foreground=*/false, /*is_write=*/true);
     ObsAdd(cluster_->c_bytes_written_, bytes);
     ObsAdd(cluster_->c_background_flush_bytes_, bytes);
     flushed += bytes;
@@ -505,19 +496,9 @@ Status DfsFile::SyncInternal(bool foreground, SimTime* done_at) {
   }
   st.dirty.clear();
   st.dirty_bytes = 0;
-  const DfsParams& dfs = cluster->params_->dfs;
-  SimTime done;
-  SimTime ideal;  // queue-free duration: the transfer part of the latency
-  if (cluster->num_servers_ == 1) {
-    ideal = cluster->params_->DfsSyncWriteLatency(bytes);
-    done = cluster->AcquirePipe(ideal, foreground);
-    ObsAdd(cluster->c_server_bytes_written_[0], bytes);
-    ObsAdd(cluster->c_server_ops_[0]);
-  } else {
-    done = cluster->FanOut(shares, dfs.stripe_client_base,
-                           dfs.stripe_server_base, dfs.write_bytes_per_ns,
-                           foreground, /*is_write=*/true, &ideal);
-  }
+  SimTime ideal = 0;  // queue-free duration: the transfer part of the latency
+  SimTime done =
+      cluster->FanOut(shares, foreground, /*is_write=*/true, &ideal);
   if (done_at != nullptr) {
     *done_at = done;
   }
@@ -600,42 +581,22 @@ Result<std::string> DfsFile::ReadInternal(uint64_t offset, uint64_t len,
   }
 
   DfsCluster* cluster = client_->cluster_;
-  const bool striped = cluster->num_servers_ > 1;
-
+  std::vector<uint64_t> shares(cluster->num_servers_, 0);
   if (direct_io_) {
-    // Every read goes to the backend; striped mode issues the per-stripe
-    // reads to their servers concurrently.
+    // Every read goes to the backend, each stripe to its own server.
     ObsAdd(cluster->c_direct_reads_);
-    if (striped) {
-      std::vector<uint64_t> shares(cluster->num_servers_, 0);
-      cluster->AddStripeShares(offset, len, &shares);
-      cluster->FanOut(shares, params.dfs.stripe_client_read_base,
-                      params.dfs.stripe_server_read_base,
-                      params.dfs.read_bytes_per_ns, foreground,
-                      /*is_write=*/false);
-    } else {
-      cluster->AcquirePipe(
-          params.dfs.remote_read_base +
-              static_cast<SimTime>(static_cast<double>(len) /
-                                   params.dfs.read_bytes_per_ns),
-          foreground);
-      ObsAdd(cluster->c_server_bytes_read_[0], len);
-      ObsAdd(cluster->c_server_ops_[0]);
-    }
+    cluster->AddStripeShares(offset, len, &shares);
+    cluster->FanOut(shares, foreground, /*is_write=*/false);
     return out;
   }
 
   // Page cache with readahead: a miss fetches the whole readahead window.
-  // Striped mode batches all missing windows of this read into one fan-out
-  // (per-server base paid once, transfers in parallel) — this is what
-  // parallelizes bulk recovery reads over the dfs (Fig 11).
+  // All missing windows of this read go into one fan-out (each server's
+  // base paid once, transfers in parallel) — this is what parallelizes
+  // bulk recovery reads over the dfs (Fig 11).
   uint64_t window = params.dfs.readahead_bytes;
   uint64_t first = offset / window;
   uint64_t last = (offset + len - 1) / window;
-  std::vector<uint64_t> miss_shares;
-  if (striped) {
-    miss_shares.assign(cluster->num_servers_, 0);
-  }
   bool missed = false;
   for (uint64_t w = first; w <= last; ++w) {
     if (st.cached_windows.count(w) > 0) {
@@ -649,26 +610,13 @@ Result<std::string> DfsFile::ReadInternal(uint64_t offset, uint64_t len,
     } else {
       ObsAdd(cluster->c_readahead_misses_);
       uint64_t fetch = std::min<uint64_t>(window, size - w * window);
-      if (striped) {
-        cluster->AddStripeShares(w * window, fetch, &miss_shares);
-        missed = true;
-      } else {
-        cluster->AcquirePipe(
-            params.dfs.remote_read_base +
-                static_cast<SimTime>(static_cast<double>(fetch) /
-                                     params.dfs.read_bytes_per_ns),
-            foreground);
-        ObsAdd(cluster->c_server_bytes_read_[0], fetch);
-        ObsAdd(cluster->c_server_ops_[0]);
-      }
+      cluster->AddStripeShares(w * window, fetch, &shares);
+      missed = true;
       st.cached_windows.insert(w);
     }
   }
   if (missed) {
-    cluster->FanOut(miss_shares, params.dfs.stripe_client_read_base,
-                    params.dfs.stripe_server_read_base,
-                    params.dfs.read_bytes_per_ns, foreground,
-                    /*is_write=*/false);
+    cluster->FanOut(shares, foreground, /*is_write=*/false);
   }
   return out;
 }

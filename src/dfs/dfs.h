@@ -14,8 +14,8 @@
 //     over the touched servers); foreground fsyncs still queue behind
 //     in-flight background bulk writes *on the pipes they share* (this is
 //     what makes weak-mode applications suffer write stalls that SplitFT
-//     avoids, §5.2). num_servers == 1 reduces exactly to the seed's single
-//     aggregated pipe (DESIGN.md §10);
+//     avoids, §5.2). num_servers == 1 is the seed's single aggregated pipe,
+//     priced as a one-server stripe set (DESIGN.md §10);
 //   * client-side page cache with sequential readahead, plus a direct-IO
 //     mode that bypasses it (Fig 11a);
 //   * a background flusher that periodically syncs dirty files, which is
@@ -80,9 +80,8 @@ class DfsCluster {
   // Takes one striped object server offline for a planned restart: FanOut
   // reroutes its stripe shares to the next online server and accrues a
   // write-replay backlog for the absent one. Only one server may be
-  // offline at a time (the "rolling" guarantee) and the single-pipe model
-  // (num_servers == 1) has no server to spare — both are
-  // kFailedPrecondition.
+  // offline at a time (the "rolling" guarantee) and a one-server cluster
+  // has no server to spare — both are kFailedPrecondition.
   Status TakeServerOffline(int server);
   // Returns the server to service and replays its accrued write backlog as
   // a background transfer on its own pipe.
@@ -107,21 +106,18 @@ class DfsCluster {
   void AddStripeShares(uint64_t offset, uint64_t len,
                        std::vector<uint64_t>* shares) const;
 
-  // Seed-model (num_servers == 1) path: serializes an operation of the
-  // given duration through the single backend pipe. Foreground ops advance
-  // the simulation clock to their completion; background ops only extend
-  // the pipe's busy horizon. Returns the completion time.
-  SimTime AcquirePipe(SimTime duration, bool foreground);
-
-  // Striped (num_servers > 1) path: fans per-server transfer legs out in
-  // parallel. The client pays `client_base` once; each touched server's
-  // leg then occupies its own pipe for server_base + share/bytes_per_ns.
-  // Completion is the max leg completion (foreground ops advance the clock
-  // to it). `ideal_ns`, if non-null, receives the queue-free duration
-  // (client_base + longest leg) so callers can split wait from transfer.
-  // `is_write` routes the per-server byte counters and span names.
-  SimTime FanOut(const std::vector<uint64_t>& shares, SimTime client_base,
-                 SimTime server_base, double bytes_per_ns, bool foreground,
+  // The one cost path: fans per-server transfer legs out in parallel. The
+  // client pays a base once; each touched server's leg then occupies its
+  // own pipe for a server base + share/bandwidth. Completion is the max leg
+  // completion (foreground ops advance the clock to it; background ops
+  // only extend the pipes' busy horizons). `is_write` picks the write or
+  // read bases and bandwidth from params(), the per-server byte counters
+  // and the span names. One server is the seed's aggregated pipe: client
+  // base 0 and server base sync_base_latency / remote_read_base, the
+  // calibrated single-pipe costs. `ideal_ns`, if non-null, receives the
+  // queue-free duration (client base + longest leg) so callers can split
+  // wait from transfer.
+  SimTime FanOut(const std::vector<uint64_t>& shares, bool foreground,
                  bool is_write, SimTime* ideal_ns = nullptr);
 
   Simulation* sim_;

@@ -31,6 +31,7 @@ NclClient::NclClient(NclConfig config, Fabric* fabric, Controller* controller,
       c_records_(obs.counter("ncl.record.count")),
       c_record_bytes_(obs.counter("ncl.record.bytes")),
       c_peers_replaced_(obs.counter("ncl.client.peers_replaced")),
+      c_replacement_starts_(obs.counter("ncl.client.replacement_starts")),
       c_suffix_reposts_(obs.counter("ncl.client.suffix_reposts")),
       c_regions_migrated_(obs.counter("ncl.client.regions_migrated")),
       g_degraded_(obs.gauge("ncl.ec.degraded_stripes")),
@@ -1372,7 +1373,8 @@ void NclFile::RunDetached(const std::function<void()>& part,
 
 void NclFile::StartReplacement() {
   if (join_ != nullptr || deleted_ ||
-      !client_->config_.eager_peer_replacement) {
+      !client_->config_.eager_peer_replacement ||
+      client_->fabric_->sim()->Now() < replace_not_before_) {
     return;
   }
   auto join = std::make_unique<Join>();
@@ -1386,6 +1388,7 @@ void NclFile::StartReplacement() {
   }
   join->started_at = client_->fabric_->sim()->Now();
   join_ = std::move(join);
+  ObsAdd(client_->c_replacement_starts_);
   AllocateSuccessors();
 }
 
@@ -1452,12 +1455,19 @@ void NclFile::OnSuccessorsAllocated() {
     if (RetryStepLater(&NclFile::AllocateSuccessors)) {
       return;  // a controller outage: wait it out as the foreground would
     }
-    // No peer could take over; the slots stay dead and the next append's
-    // WaitFor starts over.
+    // No peer could take over; the slots stay dead. The next append's
+    // WaitFor starts over, but only after the retry policy's backoff: each
+    // start costs an epoch bump and a GetPeers.
     DiscardStatus(join.status, "NclFile background replacement");
     join_.reset();
+    SimTime now = client_->fabric_->sim()->Now();
+    if (!no_spare_retry_.has_value()) {
+      no_spare_retry_.emplace(&client_->config_.retry, now);
+    }
+    replace_not_before_ = now + no_spare_retry_->NextBackoff(&client_->rng_);
     return;
   }
+  no_spare_retry_.reset();
   // Step 2: each successor's bulk copy of its lane image, header last. The
   // successor is joining from here on: later appends queue behind the copy.
   join.phase = Join::Phase::kCopying;

@@ -127,10 +127,11 @@ struct NclConfig {
 // Fault-handling observability lives in the ObsContext registry/tracer,
 // not in per-client structs: "ncl.client.*" counters (release_failures,
 // suspect_retries, transient_recoveries, suffix_reposts,
-// permanent_demotions, controller_rpc_retries, directory_lookup_retries)
-// and the "ncl.recover.*" phase spans (get_peers / connect / rdma_read /
-// sync_peers — four contiguous windows summing to the end-to-end recovery
-// latency). The old NclStats / RecoveryBreakdown compat shims are gone.
+// permanent_demotions, controller_rpc_retries, directory_lookup_retries,
+// replacement_starts) and the "ncl.recover.*" phase spans (get_peers /
+// connect / rdma_read / sync_peers — four contiguous windows summing to the
+// end-to-end recovery latency). The old NclStats / RecoveryBreakdown
+// compat shims are gone.
 
 // Outcome of deleting an ncl file: peer-side Release is best effort (leaked
 // regions are reclaimed by the epoch GC), so callers get the tally instead
@@ -286,6 +287,8 @@ class NclClient {
   Counter* c_records_;
   Counter* c_record_bytes_;
   Counter* c_peers_replaced_;
+  // Background replacements started (each one bumps the app epoch).
+  Counter* c_replacement_starts_;
   Counter* c_suffix_reposts_;
   Counter* c_regions_migrated_;
   // Commit-watermark lag of the most-degraded slot.
@@ -485,7 +488,8 @@ class NclFile {
     std::optional<RetryState> retry;
   };
   // Starts a background replacement of every dead slot, unless one is
-  // already running or the eager policy is off.
+  // already running, the eager policy is off, or the last start found no
+  // spare peer less than a backoff ago (replace_not_before_).
   void StartReplacement();
   void AllocateSuccessors();
   void OnSuccessorsAllocated();
@@ -606,6 +610,13 @@ class NclFile {
   // (a Detach end or a completion check; 0 when none is pending).
   std::unique_ptr<Join> join_;
   uint64_t join_event_ = 0;
+  // A start that found no spare peer holds the next one off until
+  // replace_not_before_, on the retry policy's backoff schedule (its
+  // attempts in no_spare_retry_, reset once a start finds a successor).
+  // A time checked at the next start rather than an event, so a cluster
+  // without a spare still goes idle.
+  std::optional<RetryState> no_spare_retry_;
+  SimTime replace_not_before_ = 0;
 };
 
 }  // namespace splitft

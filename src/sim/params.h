@@ -84,9 +84,10 @@ struct DfsParams {
   // ---- striped multi-server backend ----
   // Object servers (OSDs) the dfs stripes file bytes across, each with its
   // own bandwidth pipe (the paper's CephFS deployment runs three OSD
-  // nodes, §5.1). num_servers == 1 keeps the seed's single aggregated
-  // pipe: every cost below is bypassed and the calibrated
-  // sync_base_latency / remote_read_base arithmetic is reproduced exactly.
+  // nodes, §5.1). num_servers == 1 is the seed's single aggregated pipe: a
+  // one-server stripe set with no client base whose server bases are the
+  // calibrated sync_base_latency / remote_read_base, so the stripe_* bases
+  // below are unused.
   int num_servers = 3;
   // Stripe unit: byte b of a file lives on server (b / stripe_size) %
   // num_servers. Smaller than Ceph's 4 MiB object default so MiB-scale
@@ -182,13 +183,6 @@ struct SimParams {
     return dfs.stripe_server_base +
            static_cast<SimTime>(static_cast<double>(bytes) /
                                 dfs.write_bytes_per_ns);
-  }
-  // One striped read leg: all stripes fetched from one server in one
-  // operation share a single per-server base.
-  SimTime DfsStripeReadLeg(uint64_t bytes) const {
-    return dfs.stripe_server_read_base +
-           static_cast<SimTime>(static_cast<double>(bytes) /
-                                dfs.read_bytes_per_ns);
   }
   SimTime MemReadLatency(uint64_t bytes) const {
     return cpu.mem_read_base +

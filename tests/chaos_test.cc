@@ -886,6 +886,31 @@ TEST(ChaosCampaignTest, MixedPlannedAndUnplannedSchedulesNoViolations) {
   EXPECT_GT(result.stats.recoveries_ok, 0);
 }
 
+TEST(ChaosCampaignTest, NoSpareSchedulesKeepReplacementStartsOnTheBackoff) {
+  // Three peers for a 2f+1 = 3 file: after a crash no spare can take the
+  // dead slot, and appends come every 0.5 ms, well inside the backoff cap.
+  // Each background start bumps the app epoch, so the replacement-churn
+  // invariant holds only if starts follow the backoff, not the appends.
+  CampaignOptions options;
+  options.seed_from_env = false;
+  options.runs = 40;
+  options.num_peers = 3;
+  options.plan.horizon = Seconds(1);
+  options.appends_per_run = 2000;
+  options.max_append_bytes = 16;
+  CampaignResult result = RunChaosCampaign(options);
+  for (const CampaignViolation& v : result.violations) {
+    ADD_FAILURE() << "invariant '" << v.invariant << "' violated by seed "
+                  << v.seed << ": " << v.detail
+                  << "\nreproduce with SPLITFT_SEED=" << v.seed
+                  << "\nschedule:\n"
+                  << v.schedule;
+  }
+  EXPECT_TRUE(result.ok());
+  EXPECT_GT(result.stats.permanent_demotions, 0u);
+  EXPECT_GT(result.stats.replacement_starts, 0u);
+}
+
 TEST(ChaosCampaignTest, SeedEnvOverrideRunsSingleSchedule) {
   CampaignOptions options;
   options.runs = 50;

@@ -398,10 +398,13 @@ class StripedDfsTest : public ::testing::Test {
 };
 
 TEST_F(StripedDfsTest, SinglePipeReductionMatchesSeedArithmetic) {
-  // num_servers == 1 must reproduce the seed's calibrated latency exactly.
+  // num_servers == 1 must reproduce the seed's calibrated single-pipe
+  // arithmetic exactly: fsync, queueing behind a background flush, direct
+  // IO, and the per-server counters.
   SimParams seed = StripedParams(1);
   Simulation sim;
-  DfsCluster cluster(&sim, &seed);
+  MetricsRegistry metrics;
+  DfsCluster cluster(&sim, &seed, ObsContext{&metrics, nullptr});
   DfsClient client(&cluster, "app");
   auto file = client.Open("/f");
   ASSERT_TRUE(file.ok());
@@ -410,6 +413,61 @@ TEST_F(StripedDfsTest, SinglePipeReductionMatchesSeedArithmetic) {
   SimTime before = sim.Now();
   ASSERT_TRUE((*file)->Sync().ok());
   EXPECT_EQ(sim.Now() - before, seed.DfsSyncWriteLatency(payload.size()));
+
+  // A background flush holds server 0's pipe; a foreground fsync issued
+  // behind it completes one full seed latency after the flush does.
+  const uint64_t kBulk = 8ull << 20;
+  ASSERT_TRUE((*file)->Append(std::string(kBulk, 'b')).ok());
+  SimTime flush_at = sim.Now();
+  EXPECT_EQ(client.BackgroundFlushAll(), kBulk);
+  EXPECT_EQ(sim.Now(), flush_at);
+  ASSERT_TRUE((*file)->Append("tiny").ok());
+  ASSERT_TRUE((*file)->Sync().ok());
+  EXPECT_EQ(sim.Now(), flush_at + seed.DfsSyncWriteLatency(kBulk) +
+                           seed.DfsSyncWriteLatency(4));
+
+  // A direct-IO read pays remote_read_base plus the payload term.
+  DfsOpenOptions direct;
+  direct.direct_io = true;
+  auto raw = client.Open("/f", direct);
+  ASSERT_TRUE(raw.ok());
+  const uint64_t kRead = 128 << 10;
+  before = sim.Now();
+  ASSERT_TRUE((*raw)->Read(0, kRead).ok());
+  EXPECT_EQ(sim.Now() - before,
+            seed.dfs.remote_read_base +
+                static_cast<SimTime>(static_cast<double>(kRead) /
+                                     seed.dfs.read_bytes_per_ns));
+
+  EXPECT_EQ(metrics.CounterValue("dfs.server.0.bytes_written"),
+            payload.size() + kBulk + 4);
+  EXPECT_EQ(metrics.CounterValue("dfs.server.0.bytes_read"), kRead);
+  EXPECT_EQ(metrics.CounterValue("dfs.server.0.ops"), 4u);
+}
+
+TEST_F(StripedDfsTest, OneServerColdReadPaysTheReadBaseOnce) {
+  // Both missing readahead windows of one read go into one fan-out, so a
+  // one-server cold read pays remote_read_base once, not per window.
+  SimParams seed = StripedParams(1);
+  Simulation sim;
+  DfsCluster cluster(&sim, &seed);
+  DfsClient client(&cluster, "app");
+  const uint64_t kBytes = 2 * seed.dfs.readahead_bytes;
+  {
+    auto file = client.Open("/log");
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append(std::string(kBytes, 'z')).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  client.SimulateCrash();  // drop the page cache
+  auto file = client.Open("/log");
+  ASSERT_TRUE(file.ok());
+  SimTime before = sim.Now();
+  ASSERT_TRUE((*file)->Read(0, kBytes).ok());
+  EXPECT_EQ(sim.Now() - before,
+            seed.dfs.remote_read_base +
+                static_cast<SimTime>(static_cast<double>(kBytes) /
+                                     seed.dfs.read_bytes_per_ns));
 }
 
 TEST_F(StripedDfsTest, LargeFsyncFansOutAtLeastTwiceAsFast) {

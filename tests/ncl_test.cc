@@ -2,6 +2,7 @@
 // space-leak GC, and the unsafe-variant demonstrations of §4.6.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -723,6 +724,71 @@ TEST_F(NclTest, SinglePeerCrashDoesNotBlockWrites) {
     }
   }
   EXPECT_TRUE(has_spare);
+}
+
+TEST_F(NclTest, NoSpareReplacementBacksOffThenTakesARestartedPeer) {
+  // A 2f+1 = 3 file on exactly three peers: after one crash no spare can
+  // take the dead slot. Each background start costs an epoch bump and a
+  // GetPeers, so the starts must follow the retry policy's backoff rather
+  // than every append.
+  StartPeers(3);
+  auto client = MakeClient();
+  auto file = client->Create("/wal/1");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Append("before").ok());
+  auto epoch_before = controller_.GetAppEpoch("test-app");
+  ASSERT_TRUE(epoch_before.ok());
+  const std::string dead = (*file)->peer_names().back();
+  PeerNamed(dead)->Crash();
+  const SimTime crashed_at = sim_.Now();
+  // 100 appends a millisecond apart; each round also lets any background
+  // step finish (no event may keep the simulation busy).
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE((*file)->Append("x").ok());
+    sim_.RunUntilIdle();
+    sim_.RunUntil(sim_.Now() + Millis(1));
+  }
+  const SimTime elapsed = sim_.Now() - crashed_at;
+  auto epoch_after = controller_.GetAppEpoch("test-app");
+  ASSERT_TRUE(epoch_after.ok());
+  const uint64_t bumps = *epoch_after - *epoch_before;
+  EXPECT_EQ(bumps, ClientCounter("replacement_starts"));
+  EXPECT_GE(bumps, 2u);  // it does keep trying
+  // Consecutive starts are at least the jittered-down backoff apart, so
+  // `bumps` starts need their bumps-1 shortest intervals to fit in the
+  // elapsed time.
+  const RetryPolicy& policy = client->config().retry;
+  double backoff = static_cast<double>(policy.initial_backoff);
+  double least_wait = 0;
+  for (uint64_t i = 1; i < bumps; ++i) {
+    least_wait += (1 - policy.jitter) *
+                  std::min(backoff, static_cast<double>(policy.max_backoff));
+    backoff *= policy.multiplier;
+  }
+  EXPECT_LE(least_wait, static_cast<double>(elapsed))
+      << bumps << " starts in " << elapsed << " ns";
+  EXPECT_EQ((*file)->alive_peers(), 2);
+
+  // The crashed peer comes back empty: the next start, at most one backoff
+  // interval later, takes it.
+  ASSERT_TRUE(PeerNamed(dead)->Restart().ok());
+  const SimTime restarted_at = sim_.Now();
+  const uint64_t starts = ClientCounter("replacement_starts");
+  while (ClientCounter("replacement_starts") == starts &&
+         sim_.Now() - restarted_at < Seconds(1)) {
+    sim_.RunUntil(sim_.Now() + Micros(50));
+    ASSERT_TRUE((*file)->Append("y").ok());
+  }
+  EXPECT_LE(sim_.Now() - restarted_at,
+            static_cast<SimTime>((1 + policy.jitter) *
+                                 static_cast<double>(policy.max_backoff)) +
+                Micros(100));
+  sim_.RunUntilIdle();
+  EXPECT_EQ(client->peers_replaced(), 1);
+  EXPECT_EQ((*file)->alive_peers(), 3);
+  auto apmap = controller_.GetApMap("test-app", "/wal/1");
+  ASSERT_TRUE(apmap.ok());
+  EXPECT_EQ(apmap->peers.back(), dead);
 }
 
 TEST_F(NclTest, TwoSimultaneousCrashesBlockThenRecover) {

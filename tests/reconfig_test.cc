@@ -21,10 +21,10 @@
 namespace splitft {
 namespace {
 
-TestbedOptions Options(int num_peers, int dfs_servers = 0) {
+TestbedOptions Options(int num_peers, int servers = 3) {
   TestbedOptions options;
   options.num_peers = num_peers;
-  options.dfs_servers = dfs_servers;
+  options.params.dfs.num_servers = servers;
   return options;
 }
 
