@@ -159,8 +159,9 @@ int main() {
     double p99_base_us = 0;
     double bytes_per_tenant_base = 0;
     bench::Rule();
-    std::printf("[%s]\n%10s %12s %12s %10s %14s\n", mode.c_str(), "tenants",
-                "p50_us", "p99_us", "open_qps", "bytes/tenant");
+    std::printf("[%s]\n%10s %12s %12s %10s %14s %14s\n", mode.c_str(),
+                "tenants", "p50_us", "p99_us", "open_qps", "bytes/tenant",
+                "spare/peer");
     for (int n : sweep) {
       TestbedOptions options;
       options.num_peers = kNumPeers;
@@ -182,14 +183,23 @@ int main() {
       size_t open_qps = testbed.shared_pool()->open_qps();
       double bytes_per_tenant =
           static_cast<double>(TotalSlabUsed(testbed)) / n;
-      std::printf("%10d %12.2f %12.2f %10zu %14.0f\n", n, p50_us, p99_us,
-                  open_qps, bytes_per_tenant);
+      // Registration headroom: each peer also holds one registered spare
+      // slab outside the carved bytes (DESIGN.md §14).
+      double reserve_bytes_per_peer = 0;
+      for (int i = 0; i < testbed.num_peers(); ++i) {
+        reserve_bytes_per_peer +=
+            static_cast<double>(testbed.peer(i)->reserve_bytes());
+      }
+      reserve_bytes_per_peer /= testbed.num_peers();
+      std::printf("%10d %12.2f %12.2f %10zu %14.0f %14.0f\n", n, p50_us,
+                  p99_us, open_qps, bytes_per_tenant, reserve_bytes_per_peer);
 
       reporter.AddSeries(prefix + std::to_string(n), "us")
           .FromHistogram(latency, 1e-3)
           .Scalar("tenants", n)
           .Scalar("open_qps", static_cast<double>(open_qps))
-          .Scalar("slab_bytes_per_tenant", bytes_per_tenant);
+          .Scalar("slab_bytes_per_tenant", bytes_per_tenant)
+          .Scalar("reserve_bytes_per_peer", reserve_bytes_per_peer);
 
       // Invariant: QP state is per-lane, never per-tenant.
       size_t max_qps = static_cast<size_t>(

@@ -102,19 +102,20 @@ Result<std::unique_ptr<NclFile>> NclClient::Create(const std::string& file,
   std::unique_ptr<NclFile> out(new NclFile(this, file, capacity));
   out->epoch_ = *epoch;
 
-  // One peer at a time (each slot's lane is its index).
-  for (int i = 0; i < redundancy_.width(); ++i) {
-    Status shortfall;
-    std::vector<NclFile::PeerSlot> got =
-        out->AllocateFreshSlots(1, out->ever_used_, &shortfall);
-    if (got.empty()) {
-      // Partial allocations leak until the peers' GC notices the epoch has
-      // no recorded ap-map entry (tested in ncl_gc tests).
-      return shortfall;
-    }
-    got[0].lane = static_cast<uint32_t>(i);
-    out->ever_used_.insert(got[0].peer_name);
-    out->slots_.push_back(std::move(got[0]));
+  // One GetPeers for the whole width, every peer allocating at once; each
+  // slot's lane is its index.
+  Status shortfall;
+  std::vector<NclFile::PeerSlot> got = out->AllocateFreshSlots(
+      static_cast<size_t>(redundancy_.width()), out->ever_used_, &shortfall);
+  if (got.size() < static_cast<size_t>(redundancy_.width())) {
+    // Partial allocations leak until the peers' GC notices the epoch has
+    // no recorded ap-map entry (tested in ncl_gc tests).
+    return shortfall;
+  }
+  for (NclFile::PeerSlot& slot : got) {
+    slot.lane = static_cast<uint32_t>(out->slots_.size());
+    out->ever_used_.insert(slot.peer_name);
+    out->slots_.push_back(std::move(slot));
   }
   out->RefreshPeerNames();
   RETURN_IF_ERROR(out->WriteApMap(out->peer_names_));
@@ -127,24 +128,30 @@ Result<DeleteReport> NclClient::DeleteWithReport(const std::string& file) {
   if (!apmap.ok()) {
     return apmap.status();
   }
-  DeleteReport report;
+  // Directory lookups first (they may back off under the retry policy,
+  // which runs the simulation); then every live peer releases at once.
+  std::vector<LogPeer*> peers;
   for (const std::string& name : apmap->peers) {
-    LogPeer* peer = LookupPeerWithRetry(name);
-    if (peer != nullptr && peer->alive()) {
-      report.peers_attempted++;
-      Status released = peer->Release(config_.app_id, file);
-      if (released.ok()) {
-        report.peers_released++;
-      } else {
-        // The region leaks until the peer's epoch GC reclaims it; that is
-        // tolerable, silently losing the signal is not.
-        report.release_failures++;
-        ObsAdd(c_release_failures_);
-        LOG_WARNING << "release of " << file << " on " << name
-                    << " failed: " << released.message();
-      }
-    }
+    peers.push_back(LookupPeerWithRetry(name));
   }
+  DeleteReport report;
+  fabric_->sim()->Overlap(peers.size(), [&](size_t i) {
+    if (peers[i] == nullptr || !peers[i]->alive()) {
+      return;
+    }
+    report.peers_attempted++;
+    Status released = peers[i]->Release(config_.app_id, file);
+    if (released.ok()) {
+      report.peers_released++;
+    } else {
+      // The region leaks until the peer's epoch GC reclaims it; that is
+      // tolerable, silently losing the signal is not.
+      report.release_failures++;
+      ObsAdd(c_release_failures_);
+      LOG_WARNING << "release of " << file << " on " << peers[i]->name()
+                  << " failed: " << released.message();
+    }
+  });
   RETURN_IF_ERROR(RetryControllerRpc(
       [&] { return controller_->DeleteApMap(config_.app_id, file); }));
   return report;

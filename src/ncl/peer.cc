@@ -1,6 +1,7 @@
 #include "src/ncl/peer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/ncl/region_format.h"
@@ -44,6 +45,7 @@ uint64_t LogPeer::slab_used_bytes() const {
 
 Status LogPeer::Start() {
   alive_ = true;
+  ArmReserve();
   UpdateGauges();
   return controller_->RegisterPeer(name_, node_, available_bytes_);
 }
@@ -92,6 +94,31 @@ uint64_t LogPeer::CarveExtentBytes(uint64_t region_bytes) const {
   return (region_bytes + align - 1) / align * align;
 }
 
+uint64_t LogPeer::SlabGrain() const {
+  if (options_.slab_bytes != 0) {
+    return options_.slab_bytes;
+  }
+  return std::min(lend_bytes_, kDefaultSlabBytes);
+}
+
+void LogPeer::ArmReserve() {
+  if (!options_.reserve_slab || reserve_bytes_ != 0) {
+    return;
+  }
+  // A grain of content plus the largest region header, carve-aligned: a
+  // region sized to the grain (the 64 MiB WAL's RegionBytes) must fit, or
+  // the spare is never taken and every growth silently stays cold. Larger
+  // regions the pool has grown for raise the floor.
+  const uint64_t bytes = std::max(
+      CarveExtentBytes(SlabGrain() + kNclEcHeaderBytes), reserve_floor_);
+  if (slab_bytes_total_ + bytes > lend_bytes_) {
+    return;  // the spare stays within the lend budget
+  }
+  reserve_bytes_ = bytes;
+  reserve_ready_at_ =
+      fabric_->sim()->Now() + fabric_->params().MrRegisterLatency(bytes);
+}
+
 Result<LogPeer::Carve> LogPeer::CarveRegion(uint64_t region_bytes) {
   // The extent cut from the slab is the carve-aligned size; the fabric
   // region bound over it stays exactly the requested size.
@@ -111,22 +138,32 @@ Result<LogPeer::Carve> LogPeer::CarveRegion(uint64_t region_bytes) {
     }
   }
   if (slab_idx < 0) {
-    // No extent fits: pin + register a fresh slab, paying the expensive MR
-    // setup once for every carve that will land in it.
-    uint64_t grain = options_.slab_bytes;
-    if (grain == 0) {
-      grain = std::min(lend_bytes_, kDefaultSlabBytes);
+    uint64_t slab_bytes = 0;
+    SimTime cost = 0;
+    if (reserve_bytes_ >= extent_bytes) {
+      // Grow by the spare: it has been registering since it was armed, so
+      // only what is left of that registration lands on this carve.
+      slab_bytes = std::exchange(reserve_bytes_, 0);
+      cost = std::max<SimTime>(0, reserve_ready_at_ - fabric_->sim()->Now());
+    } else {
+      // Neither an extent nor the spare holds the region: pin + register a
+      // fresh slab, paying the expensive MR setup once for every carve
+      // that will land in it.
+      uint64_t lendable =
+          lend_bytes_ - std::min(lend_bytes_, slab_bytes_total_);
+      slab_bytes = std::min(std::max(SlabGrain(), extent_bytes), lendable);
+      if (slab_bytes < extent_bytes) {
+        return ResourceExhaustedError("peer " + name_ +
+                                      " slab pool cannot grow by " +
+                                      std::to_string(extent_bytes) + " bytes");
+      }
+      cost = fabric_->params().MrRegisterLatency(slab_bytes);
+      // The too-small spare makes way (its room may be what this slab
+      // uses), and every later spare holds a region this size.
+      reserve_bytes_ = 0;
+      reserve_floor_ = std::max(reserve_floor_, extent_bytes);
     }
-    uint64_t slab_bytes = std::max(grain, extent_bytes);
-    uint64_t lendable = lend_bytes_ - std::min(lend_bytes_, slab_bytes_total_);
-    slab_bytes = std::min(slab_bytes, lendable);
-    if (slab_bytes < extent_bytes) {
-      return ResourceExhaustedError("peer " + name_ +
-                                    " slab pool cannot grow by " +
-                                    std::to_string(extent_bytes) + " bytes");
-    }
-    fabric_->sim()->Advance(
-        fabric_->params().MrRegisterLatency(slab_bytes));
+    fabric_->sim()->Advance(cost);
     Slab slab;
     slab.bytes = slab_bytes;
     slab.free[0] = slab_bytes;
@@ -134,6 +171,7 @@ Result<LogPeer::Carve> LogPeer::CarveRegion(uint64_t region_bytes) {
     slab_bytes_total_ += slab_bytes;
     slab_idx = static_cast<int>(slabs_.size()) - 1;
     offset = 0;
+    ArmReserve();
   }
   auto rkey = fabric_->BindWindowRegion(node_, region_bytes);
   if (!rkey.ok()) {
@@ -393,6 +431,8 @@ void LogPeer::Crash() {
   // re-pins and re-registers from scratch).
   slabs_.clear();
   slab_bytes_total_ = 0;
+  reserve_bytes_ = 0;
+  reserve_floor_ = 0;
   available_bytes_ = lend_bytes_;
   fabric_->CrashNode(node_);
   UpdateGauges();
@@ -404,6 +444,7 @@ Status LogPeer::Restart() {
   fabric_->RestartNode(node_);
   alive_ = true;
   draining_ = false;  // RegisterPeer re-lands the registry record ACTIVE
+  ArmReserve();
   UpdateGauges();
   return controller_->RegisterPeer(name_, node_, available_bytes_);
 }

@@ -49,6 +49,12 @@ struct LogPeerOptions {
   // under repair/migration churn: a freed shard extent is exactly reusable
   // by any successor shard.
   uint64_t carve_align = 0;
+  // Registration headroom (DESIGN.md §14): keep one registered, fully free
+  // spare slab beside the pool. A carve that would grow the pool takes the
+  // spare and pays only the window bind; the peer then registers the next
+  // spare in the background. Off, every pool growth pays MR registration
+  // on the caller's timeline (the paper's cold-peer numbers).
+  bool reserve_slab = true;
 };
 
 class LogPeer {
@@ -77,6 +83,10 @@ class LogPeer {
   // gauges — the flat-occupancy assertion of bench/fig14_tenants.
   uint64_t slab_bytes() const { return slab_bytes_total_; }
   uint64_t slab_used_bytes() const;
+  // Bytes of the registered spare slab held beside the pool (0 when the
+  // peer keeps none). Within the lend budget but not part of slab_bytes(),
+  // and not subtracted from the availability reported to the controller.
+  uint64_t reserve_bytes() const { return reserve_bytes_; }
 
   // ---- Planned drain (reconfiguration) -----------------------------------
 
@@ -191,10 +201,20 @@ class LogPeer {
   // requested size rounded up per options_.carve_align. Applied identically
   // on carve and free so the extent map stays consistent.
   uint64_t CarveExtentBytes(uint64_t region_bytes) const;
-  // Carves `region_bytes` out of the slab pool, registering a new slab when
-  // no existing extent fits (kResourceExhausted when the lend budget cannot
-  // cover a new slab either).
+  // Size a pool growth registers at least: options_.slab_bytes, or
+  // min(lend_bytes, 64 MiB) when that is 0.
+  uint64_t SlabGrain() const;
+  // Carves `region_bytes` out of the slab pool. When no existing extent
+  // fits, the pool grows by the spare slab if it holds the region (waiting
+  // only for what is left of its registration), else by a slab registered
+  // on the caller's timeline (kResourceExhausted when the lend budget
+  // cannot cover a new slab either).
   Result<Carve> CarveRegion(uint64_t region_bytes);
+  // Starts registering a spare slab in the background (a not-before time,
+  // no event) if the option is on, there is none, and the lend budget
+  // holds it beside the pool. The spare holds a grain-sized region, or the
+  // largest region a cold growth has registered if that is larger.
+  void ArmReserve();
   // Returns a carve's extent to its slab's free list (coalescing with
   // neighbours) and drops the fabric region backing it.
   void FreeCarve(RKey rkey, int slab, uint64_t offset, uint64_t len);
@@ -222,6 +242,12 @@ class LogPeer {
   // all dropped together on Crash.
   std::vector<Slab> slabs_;
   uint64_t slab_bytes_total_ = 0;
+  // The spare slab: its size (0: none) and when its registration is done;
+  // and the largest extent a cold growth has had to register, below which
+  // no later spare is sized.
+  uint64_t reserve_bytes_ = 0;
+  SimTime reserve_ready_at_ = 0;
+  uint64_t reserve_floor_ = 0;
 
   ObsContext obs_;
   Gauge* g_state_ = nullptr;

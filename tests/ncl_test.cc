@@ -13,6 +13,7 @@
 #include "src/ncl/ncl_client.h"
 #include "src/ncl/peer.h"
 #include "src/ncl/peer_directory.h"
+#include "src/ncl/region_format.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/trace.h"
@@ -42,14 +43,24 @@ class NclTest : public ::testing::Test {
   }
 
   // Creates `n` peers named p0..p{n-1}, started and registered.
-  void StartPeers(int n, uint64_t lend = kLend) {
+  void StartPeers(int n, uint64_t lend = kLend,
+                  LogPeerOptions options = {}) {
     for (int i = 0; i < n; ++i) {
       auto peer = std::make_unique<LogPeer>("p" + std::to_string(i), &fabric_,
-                                            &controller_, lend);
+                                            &controller_, lend, ObsContext{},
+                                            options);
       EXPECT_TRUE(peer->Start().ok());
       directory_.Register(peer.get());
       peers_.push_back(std::move(peer));
     }
+  }
+
+  // Peers without a registered spare slab: every pool growth pays MR
+  // registration on the caller's timeline, as in the paper's Table 3.
+  static LogPeerOptions ColdPeers() {
+    LogPeerOptions options;
+    options.reserve_slab = false;
+    return options;
   }
 
   std::unique_ptr<NclClient> MakeClient(NclConfig config = {}) {
@@ -155,6 +166,143 @@ TEST_F(NclTest, SwitchRejectsUnknownStagedRegion) {
             StatusCode::kFailedPrecondition);
 }
 
+// ------------------------------------------------ Registration headroom --
+
+// Each peer keeps one registered spare slab of a 64 MiB grain plus the
+// largest region header (DESIGN.md §14).
+constexpr uint64_t kReserve = (64ull << 20) + kNclEcHeaderBytes;
+
+class NclReserveTest : public NclTest {
+ protected:
+  // Sim time one Allocate of `bytes` on `peer` takes.
+  SimTime AllocateCost(LogPeer* peer, const std::string& file,
+                       uint64_t bytes) {
+    SimTime t0 = sim_.Now();
+    EXPECT_TRUE(peer->Allocate("app", file, bytes, 1).ok()) << file;
+    return sim_.Now() - t0;
+  }
+  // Runs the clock past a spare armed `at` (its registration done).
+  void AwaitReserve(SimTime at) {
+    sim_.RunUntil(at + params_.MrRegisterLatency(kReserve));
+  }
+  SimTime WarmCost() const {
+    return params_.rdma.setup_rpc_latency + params_.rdma.mw_bind_latency;
+  }
+};
+
+TEST_F(NclReserveTest, GrowthCarveWithReadySpareCostsOnlyRpcAndBind) {
+  StartPeers(1);
+  LogPeer* peer = peers_[0].get();
+  EXPECT_EQ(peer->reserve_bytes(), kReserve);
+  EXPECT_EQ(peer->slab_bytes(), 0u);
+  AwaitReserve(0);
+  EXPECT_EQ(AllocateCost(peer, "f", 1 << 20), WarmCost());
+  // The spare joined the pool and the next one is registering.
+  EXPECT_EQ(peer->slab_bytes(), kReserve);
+  EXPECT_EQ(peer->reserve_bytes(), kReserve);
+  // The spare is not lent out: availability drops by the region only.
+  EXPECT_EQ(peer->available_bytes(), kLend - (1 << 20));
+}
+
+TEST_F(NclReserveTest, CarveDuringRefillWaitsOnlyForTheRemainder) {
+  StartPeers(1);
+  LogPeer* peer = peers_[0].get();
+  AwaitReserve(0);
+  // Takes the spare at (start + RPC); its successor registers from there.
+  SimTime armed = sim_.Now() + params_.rdma.setup_rpc_latency;
+  ASSERT_EQ(AllocateCost(peer, "a", 1 << 20), WarmCost());
+  sim_.RunUntil(sim_.Now() + Millis(10));
+  // A region the first slab cannot hold takes the refilling spare.
+  const SimTime t0 = sim_.Now();
+  const uint64_t region = NclRegionBytes(64ull << 20);
+  ASSERT_TRUE(peer->Allocate("app", "b", region, 1).ok());
+  EXPECT_EQ(sim_.Now(), armed + params_.MrRegisterLatency(kReserve) +
+                            params_.rdma.mw_bind_latency);
+  // Never slower than registering a slab of the region's size.
+  EXPECT_LT(sim_.Now() - t0, params_.rdma.setup_rpc_latency +
+                                 params_.MrRegisterLatency(region) +
+                                 params_.rdma.mw_bind_latency);
+}
+
+TEST_F(NclReserveTest, CrashDropsTheSpareAndRestartRearmsIt) {
+  StartPeers(1);
+  LogPeer* peer = peers_[0].get();
+  AwaitReserve(0);
+  peer->Crash();
+  EXPECT_EQ(peer->reserve_bytes(), 0u);
+  sim_.RunUntil(sim_.Now() + Seconds(1));
+  // The spare starts registering as the node comes back, before the
+  // peer re-registers on the controller.
+  const SimTime armed = sim_.Now();
+  ASSERT_TRUE(peer->Restart().ok());
+  EXPECT_EQ(peer->reserve_bytes(), kReserve);
+  // Right after the restart the spare is still registering: the carve
+  // waits for the rest of it.
+  ASSERT_TRUE(peer->Allocate("app", "f", 1 << 20, 1).ok());
+  EXPECT_EQ(sim_.Now(), armed + params_.MrRegisterLatency(kReserve) +
+                            params_.rdma.mw_bind_latency);
+  AwaitReserve(armed + params_.MrRegisterLatency(kReserve));
+  EXPECT_EQ(AllocateCost(peer, "g", NclRegionBytes(64ull << 20)),
+            WarmCost());
+}
+
+TEST_F(NclReserveTest, PeerLendingOneRegionKeepsNoSpare) {
+  const uint64_t region = NclRegionBytes(1 << 20);
+  StartPeers(1, /*lend=*/region);
+  LogPeer* peer = peers_[0].get();
+  EXPECT_EQ(peer->reserve_bytes(), 0u);
+  sim_.RunUntil(Seconds(1));
+  EXPECT_EQ(AllocateCost(peer, "f", region),
+            params_.rdma.setup_rpc_latency +
+                params_.MrRegisterLatency(region) +
+                params_.rdma.mw_bind_latency);
+  EXPECT_EQ(peer->reserve_bytes(), 0u);
+  EXPECT_EQ(peer->slab_bytes(), region);
+}
+
+// A region larger than the spare grows the pool cold, and from then on the
+// spare is sized to hold that region too (Fig 11(b)'s 68 MiB logs).
+TEST_F(NclReserveTest, LargerRegionRaisesTheSpareToHoldIt) {
+  StartPeers(1);
+  LogPeer* peer = peers_[0].get();
+  AwaitReserve(0);
+  const uint64_t region = NclRegionBytes(68ull << 20);
+  const SimTime t0 = sim_.Now();
+  ASSERT_TRUE(peer->Allocate("app", "a", region, 1).ok());
+  EXPECT_EQ(sim_.Now() - t0, params_.rdma.setup_rpc_latency +
+                                 params_.MrRegisterLatency(region) +
+                                 params_.rdma.mw_bind_latency);
+  // The 64 MiB spare made way for one that holds the region.
+  EXPECT_EQ(peer->slab_bytes(), region);
+  EXPECT_EQ(peer->reserve_bytes(), region);
+  sim_.RunUntil(sim_.Now() + params_.MrRegisterLatency(region));
+  EXPECT_EQ(AllocateCost(peer, "b", region), WarmCost());
+}
+
+TEST_F(NclReserveTest, OptionOffKeepsEveryGrowthCold) {
+  StartPeers(1, kLend, ColdPeers());
+  LogPeer* peer = peers_[0].get();
+  EXPECT_EQ(peer->reserve_bytes(), 0u);
+  sim_.RunUntil(Seconds(1));
+  EXPECT_EQ(AllocateCost(peer, "f", 1 << 20),
+            params_.rdma.setup_rpc_latency +
+                params_.MrRegisterLatency(64ull << 20) +
+                params_.rdma.mw_bind_latency);
+  EXPECT_EQ(peer->reserve_bytes(), 0u);
+}
+
+// The kv_failover case: a spare peer that never held a region takes a
+// replacement for a 64 MiB WAL, whose region (content + header) is larger
+// than the 64 MiB grain. A spare of exactly the grain would not hold it and
+// the carve would fall back to a cold registration.
+TEST_F(NclReserveTest, NeverUsedSpareCarvesA64MiBWalRegionFromItsReserve) {
+  StartPeers(4);
+  sim_.RunUntil(Seconds(1));
+  EXPECT_EQ(AllocateCost(peers_[3].get(), "/wal",
+                         NclRegionBytes(64ull << 20)),
+            WarmCost());
+}
+
 // ----------------------------------------------------- Create and record --
 
 TEST_F(NclTest, CreateAllocatesOnNPeers) {
@@ -168,6 +316,46 @@ TEST_F(NclTest, CreateAllocatesOnNPeers) {
   auto apmap = controller_.GetApMap("test-app", "/wal/1");
   ASSERT_TRUE(apmap.ok());
   EXPECT_EQ(apmap->peers.size(), 3u);
+}
+
+// Create asks the controller once for the whole width and allocates on
+// every peer at once; each slot holds the lane of its index, so an
+// erasure-coded file recovers through the ap-map's peer order.
+TEST_F(NclTest, CreateCostsOneGetPeersAndAssignsLanesInSlotOrder) {
+  StartPeers(4);
+  NclConfig config;
+  config.ec = EcGeometry{2, 1, 64};
+  auto client = MakeClient(config);
+  const uint64_t rpcs = controller_.rpc_count();
+  const SimTime t0 = sim_.Now();
+  auto file = client->Create("/wal/1", 4096);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  // Exists (GetApMap), BumpAppEpoch, GetPeers, SetApMap, and each peer's
+  // availability update.
+  EXPECT_EQ(controller_.rpc_count() - rpcs, 4u + 3u);
+  // Three 1.8 ms controller RPCs before the allocations, one after: the
+  // three peers' setup RPC + registration overlap into one.
+  const SimTime control = 4 * params_.controller.rpc_latency;
+  EXPECT_LT(sim_.Now() - t0 - control,
+            2 * (params_.rdma.setup_rpc_latency +
+                 params_.MrRegisterLatency(64ull << 20)));
+  auto apmap = controller_.GetApMap("test-app", "/wal/1");
+  ASSERT_TRUE(apmap.ok());
+  EXPECT_EQ(apmap->peers, (*file)->peer_names());
+  std::string oracle;
+  for (int i = 0; i < 8; ++i) {
+    std::string rec(200, static_cast<char>('a' + i));
+    oracle += rec;
+    ASSERT_TRUE((*file)->Append(rec).ok());
+  }
+  ASSERT_TRUE((*file)->Drain().ok());
+  file->reset();
+  client.reset();
+  sim_.RunUntilIdle();
+  auto client2 = MakeClient(config);
+  auto recovered = client2->Recover("/wal/1");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(Contents(recovered->get()), oracle);
 }
 
 TEST_F(NclTest, CreateFailsWithTooFewPeers) {
@@ -373,6 +561,21 @@ TEST_F(NclTest, DeleteReleasesRegionsAndApMap) {
     EXPECT_EQ(peer->active_regions(), 0u);
   }
   EXPECT_EQ((*file)->Append("y").code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(NclTest, DeleteReleasesEveryPeerAtOnce) {
+  StartPeers(3);
+  auto client = MakeClient();
+  auto file = client->Create("/wal/1", 1 << 20);
+  ASSERT_TRUE(file.ok());
+  sim_.RunUntilIdle();
+  const SimTime t0 = sim_.Now();
+  auto report = client->DeleteWithReport("/wal/1");
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->peers_released, 3);
+  // GetApMap and DeleteApMap around one overlapped round of Release RPCs.
+  EXPECT_EQ(sim_.Now() - t0, 2 * params_.controller.rpc_latency +
+                                 params_.rdma.setup_rpc_latency);
 }
 
 TEST_F(NclTest, DeleteReportsPartialReleaseFailure) {
@@ -646,12 +849,12 @@ TEST_F(NclTest, RecoveryPhaseSpansPopulated) {
 
 // Recovery catches every reachable peer up at once: the sync-peer phase
 // takes about one staged catch-up, not one per peer. 64 MiB regions make
-// each peer pin a fresh slab for its staging region (~66 ms), the cost
-// that either adds up or overlaps.
+// each cold peer pin a fresh slab for its staging region (~66 ms), the
+// cost that either adds up or overlaps.
 class NclRecoveryOverlapTest : public NclTest {
  protected:
   void ExpectSyncPeersCostsOneStagedCatchUp(NclConfig config, int slots) {
-    StartPeers(slots);
+    StartPeers(slots, kLend, ColdPeers());
     config.app_id = "test-app";
     config.default_capacity = 64ull << 20;
     std::string oracle;
@@ -813,9 +1016,10 @@ TEST_F(NclTest, TwoSimultaneousCrashesBlockThenRecover) {
 TEST_F(NclTest, TwoCrashesAreReplacedInOneStep) {
   // Replacing two dead slots costs one replacement, not two: one epoch
   // bump, one GetPeers, every new peer pinning its region at once and one
-  // ap-map write naming both (§4.5.2). 64 MiB regions make MR registration
-  // (~66 ms per fresh peer) the cost that either adds up or overlaps.
-  StartPeers(6);
+  // ap-map write naming both (§4.5.2). 64 MiB regions on cold peers make
+  // MR registration (~66 ms per fresh peer) the cost that either adds up or
+  // overlaps.
+  StartPeers(6, kLend, ColdPeers());
   const uint64_t kCapacity = 64ull << 20;
   std::string oracle;
   {
