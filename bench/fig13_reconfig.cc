@@ -6,8 +6,9 @@
 //
 //   baseline    no operation (the reference p99)
 //   drain       drain the peer hosting the WAL region: allocations avoid
-//               it, the region migrates off via the epoch-fenced snapshot
-//               copy + suffix catch-up + ap-map cutover
+//               it, and the region migrates off by a join: a fresh peer
+//               takes the bulk copy with later appends queued behind it,
+//               then the ap-map names it in the source's place
 //   handover    cooperative single-instance lease transfer
 //   dfs-roll    rolling restart of all striped dfs servers, one at a time
 //   reactivate  end the drain; the peer accepts allocations again
@@ -134,6 +135,9 @@ int main() {
   bench::Rule();
   Histogram p99_timeline;
   bool traffic_gap = false;
+  // The victim's resident regions at the end of the drain phase, while it
+  // is still DRAINING (-1 until then).
+  int64_t resident_after_drain = -1;
   for (const Phase& phase : phases) {
     if (phase.op) {
       testbed.sim()->Schedule(phase_len / 5, phase.op);
@@ -156,6 +160,9 @@ int main() {
     if (result.ops == 0) {
       traffic_gap = true;
     }
+    if (phase.name == "drain" && resident_gauge(victim) != nullptr) {
+      resident_after_drain = resident_gauge(victim)->value();
+    }
     reporter.AddSeries("phase_" + phase.name, "us")
         .FromHistogram(result.latency, 1e-3)
         .Scalar("ops", static_cast<double>(result.ops))
@@ -175,17 +182,18 @@ int main() {
     }
   }
   // Drain satellite: the victim migrated its region off while DRAINING,
-  // and the reactivate phase returned it to ACTIVE.
+  // and the reactivate phase returned it to ACTIVE. Once ACTIVE again it
+  // may take new regions (a WAL rotation), so residency is read at the
+  // end of the drain phase.
   if (server->fs->ncl()->regions_migrated() < 1) {
     errors += "  drain completed without migrating any region\n";
   }
   const Gauge* vstate = state_gauge(victim);
-  const Gauge* vresident = resident_gauge(victim);
   if (vstate == nullptr ||
       vstate->value() != static_cast<int64_t>(LogPeerState::kActive)) {
     errors += "  victim peer not back to ACTIVE after reactivate\n";
   }
-  if (vresident == nullptr || vresident->value() != 0) {
+  if (resident_after_drain != 0) {
     errors += "  victim peer still holds regions after the drain\n";
   }
   if (server->fs->lease() == lease_before) {
@@ -214,8 +222,9 @@ int main() {
               static_cast<double>(testbed.metrics()->CounterValue(
                   "dfs.cluster.server_restarts")));
   reporter.SetMetricsJson(testbed.metrics()->ToJson());
-  bench::Note("planned operations ride the traffic: the drain's cutover "
-              "window is bounded by suffix catch-up, so p99 stays near the "
-              "baseline (contrast with Fig 12's quorum-loss stalls)");
+  bench::Note("planned operations ride the traffic: the drain's successor "
+              "joins behind its copy in SQ order and the ap-map write is "
+              "detached, so p99 stays near the baseline (contrast with "
+              "Fig 12's quorum-loss stalls)");
   return reporter.WriteJson() ? 0 : 1;
 }

@@ -89,9 +89,9 @@ class ReconfigEngine {
   int ops_completed_ = 0;
   int ops_skipped_ = 0;
   int ops_failed_ = 0;
-  // A drain's migration pumps the simulation (catch-up rounds), so another
-  // scheduled drain can fire re-entrantly mid-copy; it is skipped, the
-  // same way MigrateSlot rejects overlapping migrations of one file.
+  // A drain's migration pumps the simulation until its join installs, so
+  // another scheduled drain can fire re-entrantly mid-join; it is skipped
+  // (one planned membership change at a time).
   bool drain_in_progress_ = false;
   std::vector<std::string> log_;
   std::vector<uint64_t> tokens_;

@@ -1122,7 +1122,6 @@ TEST_F(NclTest, ApMapBeforeCatchUpLosesData) {
   config.app_id = "test-app";
   config.default_capacity = 1 << 20;
   config.unsafe_apmap_before_catchup = true;
-  config.test_crash_after_apmap_update = true;
   // Keep the partitioned (lagging) peer in place rather than replacing it
   // off the ack path: the scenario needs a genuinely lagging quorum member.
   config.eager_peer_replacement = false;
@@ -1202,7 +1201,6 @@ TEST_F(NclTest, ApMapBeforeCatchUpLosesDataOnTwoPeerCrash) {
   config.app_id = "test-app";
   config.default_capacity = 1 << 20;
   config.unsafe_apmap_before_catchup = true;
-  config.test_crash_after_apmap_update = true;
   std::vector<std::string> members;
   {
     auto client = MakeClient(config);

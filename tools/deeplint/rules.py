@@ -27,6 +27,7 @@ findings are pre-suppression; the driver applies the shared
                       time.
 """
 
+import os
 import re
 
 RULES = (
@@ -80,11 +81,9 @@ EPOCH_FENCE_ALLOWED = {
         (
             "NclClient::Create",  # fresh file: epoch 0 ap-map publish
             "NclClient::Recover",  # recovery: bump precedes (§4.5.1)
-            "NclFile::ReplaceSlots",  # crash repair: bump-then-write
-            # background crash repair: AllocateSuccessors bumps first, and
-            # the write is dropped if the epoch moved on since
+            # every join (crash repair, migration): AllocateSuccessors
+            # bumps first, and one join runs per file at a time
             "NclFile::InstallSuccessors",
-            "NclFile::MigrateSlot",  # planned migration: bump-then-write
             "NclFile::WriteApMap",  # the wrapper's own definition
         )
     ),
@@ -530,6 +529,26 @@ def check_epoch_fence(file_ir, ctx):
                     call.callee, fn.qual_name, ", ".join(sorted(allowed)))))
     return findings
 
+
+def stale_allowlist(allowed, defined):
+    """(callee, function) epoch-fence allowlist entries naming a function
+    that no linted file defines. A deleted or renamed helper's entry would
+    admit, unreviewed, whatever function takes the name next: the
+    allowlist's counterpart of a stale allow() comment."""
+    return sorted((callee, name) for callee, names in allowed.items()
+                  for name in names if name not in defined)
+
+
+def allowlist_line(name):
+    """Line of `name`'s entry in EPOCH_FENCE_ALLOWED in this file."""
+    with open(RULES_PATH, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if '"%s"' % name in line:
+                return lineno
+    return 1
+
+
+RULES_PATH = os.path.abspath(__file__)
 
 ALL_CHECKS = (
     check_view_lifetime,
