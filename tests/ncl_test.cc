@@ -1507,7 +1507,7 @@ TEST_F(NclTest, NoPrefetchReadsPayPerReadRdmaCost) {
 
 // Regression for the PostSuffix dangling-view bug (the shape deeplint's
 // view-lifetime rule exists for — see tools/deeplint/rules.py and
-// DESIGN.md §17): PostSuffix accumulates per-entry encoded lane chunks
+// DESIGN.md §11): PostSuffix accumulates per-entry encoded lane chunks
 // in `lane_scratch` while `ops` holds string_views into them. The
 // `lane_scratch.reserve(window_.size())` before the loop is
 // load-bearing — without it, vector growth relocates the small (SSO)

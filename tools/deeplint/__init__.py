@@ -1,1 +1,1 @@
-"""deeplint: semantic (AST-level) lint for SplitFT. See deeplint.py."""
+"""deeplint: static analysis for SplitFT's C++ tree. See deeplint.py."""

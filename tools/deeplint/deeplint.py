@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""deeplint: AST-level lifetime & deferred-execution contract checker.
+"""deeplint: the repo's static analysis — lifetime, deferred-execution,
+determinism and error-handling contracts for the C++ tree.
 
-Where tools/simlint.py is a line-regex lint, deeplint resolves scopes and
-(with the libclang backend) types for every translation unit listed in
-compile_commands.json and enforces four contracts the regex lint cannot
-(rule semantics: DESIGN.md §17, tools/deeplint/rules.py):
+One frontend (tools/deeplint/model.py) strips and tokenizes each file
+once and lowers it into scopes, typed locals, calls and lambdas; one
+rule engine (tools/deeplint/rules.py, semantics in DESIGN.md §11) reads
+that IR:
 
   view-lifetime     no string_view/span into a temporary or into a
                     container that reallocates while the view is live
@@ -13,20 +14,15 @@ compile_commands.json and enforces four contracts the regex lint cannot
   inline-budget     scheduled callables must fit the 192 B inline arena
                     slab (pairs with sim::assert_inline<F>() at the site)
   epoch-fence       SetApMap/WriteApMap only via bump-then-write helpers
+  wall-clock        no wall-clock time source; use the simulated clock
+  raw-random        no randomness outside splitft::Rng
+  unordered-iter    no range-for over an unordered container
+  metric-name       metric/span literals follow layer.component[.metric]
+  status-discard    no bare void cast of a call result
   stale-allow       a suppression whose rule no longer fires on that line
-                    is itself a finding (shared with simlint), and so is
-                    an epoch-fence allowlist entry naming a function no
-                    linted file defines
-
-Backends:
-
-  clang   clang.cindex over compile_commands.json — full type resolution.
-          Used automatically when the clang Python bindings and a
-          libclang shared object are importable.
-  lite    a self-contained token/scope micro-frontend (tools/deeplint/
-          model.py). No dependencies beyond Python 3. The rule engine is
-          shared, so both backends enforce identical contracts; the
-          fixture self-test pins the lite backend's behavior.
+                    is itself a finding, and so is an epoch-fence
+                    allowlist entry naming a function no linted file
+                    defines
 
 Suppressions (reason text mandatory by convention):
 
@@ -35,9 +31,8 @@ Suppressions (reason text mandatory by convention):
 
 Usage:
 
-  tools/deeplint/deeplint.py [--compile-commands build/compile_commands.json]
-                             [--json FILE] [--backend auto|lite|clang]
-                             [path...]
+  tools/deeplint/deeplint.py [--json FILE] [path...]
+                             (default: src/ bench/ tests/)
   tools/deeplint/deeplint.py --self-test
 
 Exit codes: 0 clean, 1 findings, 2 usage/internal error.
@@ -82,12 +77,11 @@ def read_inline_budget():
 
 
 class Finding:
-    def __init__(self, path, line, rule, message, backend):
+    def __init__(self, path, line, rule, message):
         self.path = path
         self.line = line
         self.rule = rule
         self.message = message
-        self.backend = backend
 
     def __str__(self):
         rel = os.path.relpath(self.path, REPO_ROOT)
@@ -99,7 +93,6 @@ class Finding:
             "line": self.line,
             "rule": self.rule,
             "message": self.message,
-            "backend": self.backend,
         }
 
 
@@ -125,26 +118,16 @@ def collect_suppressions(raw_lines):
     return file_allows, line_allows, bad
 
 
-def lint_file(path, ctx, backend, text=None, defined=None):
-    """Lints one file. Returns a list of Finding (post-suppression,
-    including stale-allow findings). Adds the qualified names of the
-    functions the file defines to `defined`, if given."""
-    if text is None:
-        with open(path, "r", encoding="utf-8", errors="replace") as f:
-            text = f.read()
-    raw_lines = text.split("\n")
-    file_allows, line_allows, bad_rules = collect_suppressions(raw_lines)
+def lint_file(path, ctx, defined):
+    """Lints one file of ctx.index. Returns a list of Finding
+    (post-suppression, including stale-allow findings). Adds the
+    qualified names of the functions the file defines to `defined`."""
+    text, code, literals = ctx.index.sources[os.path.abspath(path)]
+    file_allows, line_allows, bad_rules = collect_suppressions(
+        text.split("\n"))
 
-    backend_name = "lite"
-    file_ir = None
-    if backend.clang_index is not None:
-        file_ir = backend.lower_with_clang(path, text)
-        if file_ir is not None:
-            backend_name = "clang"
-    if file_ir is None:
-        file_ir = model.lower_file(path, text)
-    if defined is not None:
-        defined.update(fn.qual_name for fn in file_ir.functions)
+    file_ir = model.lower_file(path, code, literals)
+    defined.update(fn.qual_name for fn in file_ir.functions)
 
     raw = rules.run_rules(file_ir, ctx)
 
@@ -153,7 +136,7 @@ def lint_file(path, ctx, backend, text=None, defined=None):
         findings.append(Finding(
             path, lineno, "suppression",
             "unknown rule '%s' in deeplint suppression (known: %s)"
-            % (rule, ", ".join(rules.RULES)), backend_name))
+            % (rule, ", ".join(rules.RULES))))
 
     def line_suppressed(rule, lineno):
         for at in (lineno, lineno - 1):
@@ -166,7 +149,7 @@ def lint_file(path, ctx, backend, text=None, defined=None):
         fired_by_rule.setdefault(f.rule, set()).add(f.line)
         if f.rule in file_allows or line_suppressed(f.rule, f.line):
             continue
-        findings.append(Finding(path, f.line, f.rule, f.message, backend_name))
+        findings.append(Finding(path, f.line, f.rule, f.message))
 
     # stale-allow: a suppression comment for a rule that no longer fires
     # where the comment applies. allow(r) at line A covers findings at A
@@ -186,8 +169,7 @@ def lint_file(path, ctx, backend, text=None, defined=None):
                 path, lineno, "stale-allow",
                 "deeplint suppression allow(%s) no longer matches a [%s] "
                 "finding on this line — delete the stale allow" % (rule,
-                                                                   rule),
-                backend_name))
+                                                                   rule)))
     for rule, lineno in sorted(file_allows.items()):
         if rule == "stale-allow":
             continue
@@ -199,36 +181,9 @@ def lint_file(path, ctx, backend, text=None, defined=None):
                 path, lineno, "stale-allow",
                 "deeplint suppression allow-file(%s) no longer matches any "
                 "[%s] finding in this file — delete the stale allow"
-                % (rule, rule), backend_name))
+                % (rule, rule)))
     findings.sort(key=lambda f: (f.line, f.rule))
     return findings
-
-
-# ---------------------------------------------------------------------------
-# TU enumeration
-# ---------------------------------------------------------------------------
-
-
-def repo_files_from_compile_commands(cc_path):
-    """Translation units from compile_commands.json that live under the
-    repo's lintable roots, plus every header under those roots (headers
-    hold templates and inline hot paths; they get linted standalone)."""
-    with open(cc_path, "r", encoding="utf-8") as f:
-        entries = json.load(f)
-    files = set()
-    for e in entries:
-        p = os.path.normpath(os.path.join(e.get("directory", ""), e["file"]))
-        rel = os.path.relpath(p, REPO_ROOT)
-        if not rel.startswith("..") and rel.split(os.sep)[0] in DEFAULT_ROOTS:
-            files.add(p)
-    for root in DEFAULT_ROOTS:
-        for dirpath, dirnames, filenames in os.walk(os.path.join(REPO_ROOT,
-                                                                 root)):
-            dirnames.sort()
-            for name in sorted(filenames):
-                if name.endswith(".h"):
-                    files.add(os.path.join(dirpath, name))
-    return sorted(files)
 
 
 def iter_cxx_files(paths):
@@ -246,56 +201,16 @@ def iter_cxx_files(paths):
 
 
 # ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-
-
-class Backend:
-    """Holds the (optional) libclang index. lint_file falls back to the
-    lite micro-frontend per file whenever clang lowering is unavailable or
-    fails, so a partial clang install degrades instead of erroring."""
-
-    def __init__(self, mode, compile_commands):
-        self.mode = mode
-        self.clang_index = None
-        self.compile_db = None
-        if mode in ("auto", "clang"):
-            try:
-                from deeplint import clang_backend
-                self._cb = clang_backend
-                self.clang_index, self.compile_db = clang_backend.load(
-                    compile_commands)
-            except Exception as e:  # noqa: BLE001 - any import/dlopen error
-                if mode == "clang":
-                    raise SystemExit(
-                        "deeplint: --backend clang requested but libclang "
-                        "is unavailable: %s" % e)
-                self.clang_index = None
-
-    def lower_with_clang(self, path, text):
-        try:
-            return self._cb.lower_file(self.clang_index, self.compile_db,
-                                       path, text)
-        except Exception:  # noqa: BLE001 - degrade to lite on any failure
-            return None
-
-
-# ---------------------------------------------------------------------------
 # Self-test over tools/deeplint_fixtures/
 # ---------------------------------------------------------------------------
 
 
 def self_test():
-    """Lints every fixture (lite backend — the one guaranteed everywhere)
-    against `// deeplint-expect: rule` markers, and requires a positive
-    AND a suppressed case per rule, mirroring simlint's self-test."""
+    """Lints every fixture against `// deeplint-expect: rule` markers, and
+    requires a positive AND a suppressed case per rule."""
     if not os.path.isdir(FIXTURE_DIR):
         print("deeplint --self-test: missing fixture dir %s" % FIXTURE_DIR)
         return 2
-    ctx = rules.RuleContext(
-        string_returners=frozenset(("Encode", "BuildName")),
-        inline_budget=read_inline_budget())
-    backend = Backend("lite", None)
     failures = []
     expected_rules_seen = set()
     suppression_rules_seen = set()
@@ -307,9 +222,9 @@ def self_test():
     if not fixtures:
         print("deeplint --self-test: no fixtures in %s" % FIXTURE_DIR)
         return 2
+    ctx = rules.RuleContext(model.index_files(fixtures), read_inline_budget())
     for path in fixtures:
-        with open(path, "r", encoding="utf-8", errors="replace") as f:
-            text = f.read()
+        text = ctx.index.sources[os.path.abspath(path)][0]
         expected = set()
         for lineno, line in enumerate(text.split("\n"), 1):
             for m in _EXPECT.finditer(line):
@@ -320,8 +235,7 @@ def self_test():
                 suppression_rules_seen.add(m.group(1))
         for m in _ALLOW_FILE.finditer(text):
             suppression_rules_seen.add(m.group(1))
-        got = {(f.line, f.rule)
-               for f in lint_file(path, ctx, backend, text, defined)}
+        got = {(f.line, f.rule) for f in lint_file(path, ctx, defined)}
         rel = os.path.relpath(path, REPO_ROOT)
         for line, rule in sorted(expected - got):
             failures.append("%s:%d: expected a [%s] finding, got none"
@@ -358,14 +272,8 @@ def self_test():
 
 def main(argv):
     ap = argparse.ArgumentParser(prog="deeplint", add_help=True)
-    ap.add_argument("--compile-commands", metavar="FILE",
-                    help="compile_commands.json (TU list + flags for the "
-                         "clang backend); without it, src/ bench/ tests/ "
-                         "are walked directly")
     ap.add_argument("--json", metavar="FILE",
                     help="also write findings as a JSON array (CI artifact)")
-    ap.add_argument("--backend", choices=("auto", "lite", "clang"),
-                    default="auto")
     ap.add_argument("--self-test", action="store_true")
     ap.add_argument("paths", nargs="*")
     args = ap.parse_args(argv)
@@ -373,43 +281,28 @@ def main(argv):
     if args.self_test:
         return self_test()
 
-    cc = args.compile_commands
-    if cc and not os.path.exists(cc):
-        print("deeplint: compile_commands not found at %s; "
-              "walking default roots instead" % cc)
-        cc = None
-
     try:
-        if args.paths:
-            files = sorted(set(iter_cxx_files(args.paths)))
-        elif cc:
-            files = repo_files_from_compile_commands(cc)
-        else:
-            files = sorted(set(iter_cxx_files(
-                os.path.join(REPO_ROOT, r) for r in DEFAULT_ROOTS)))
+        files = sorted(set(iter_cxx_files(
+            args.paths or [os.path.join(REPO_ROOT, r) for r in DEFAULT_ROOTS])))
     except FileNotFoundError as e:
         print("deeplint: no such file or directory: %s" % e)
         return 2
 
-    backend = Backend(args.backend if args.backend != "lite" else "lite", cc)
-    ctx = rules.RuleContext(
-        string_returners=model.index_string_returners(files),
-        inline_budget=read_inline_budget())
+    ctx = rules.RuleContext(model.index_files(files), read_inline_budget())
 
     findings = []
     defined = set()
     for path in files:
-        findings.extend(lint_file(path, ctx, backend, defined=defined))
+        findings.extend(lint_file(path, ctx, defined))
     if not args.paths:
         # Only a whole-tree run sees every definition.
-        mode = "clang" if backend.clang_index is not None else "lite"
         for callee, name in rules.stale_allowlist(ctx.epoch_fence_allowed,
                                                   defined):
             findings.append(Finding(
                 rules.RULES_PATH, rules.allowlist_line(name), "stale-allow",
                 "epoch-fence allowlist entry %s (for %s) names a function "
                 "no linted file defines — delete the stale entry"
-                % (name, callee), mode))
+                % (name, callee)))
 
     for f in findings:
         print(f)
@@ -419,12 +312,11 @@ def main(argv):
                        [f.as_json() for f in findings]}, out, indent=2,
                       sort_keys=True)
             out.write("\n")
-    mode = "clang" if backend.clang_index is not None else "lite"
     if findings:
-        print("deeplint[%s]: %d finding(s) in %d file(s) checked"
-              % (mode, len(findings), len(files)))
+        print("deeplint: %d finding(s) in %d file(s) checked"
+              % (len(findings), len(files)))
         return 1
-    print("deeplint[%s]: clean (%d files checked)" % (mode, len(files)))
+    print("deeplint: clean (%d files checked)" % len(files))
     return 0
 
 

@@ -1,13 +1,16 @@
 """deeplint semantic model: a micro-frontend for the repo's C++ subset.
 
-deeplint's rules need facts a line-regex lint (tools/simlint.py) cannot
-produce: which *function* a call site lives in, which *local variable* a
-string_view was bound to, which container a capture refers to, whether a
-mutation happens after a binding in the same scope. This module lowers a
-C++ source file into a small intermediate representation (IR) carrying
-exactly those facts:
+deeplint's rules need facts a line regex cannot produce: which
+*function* a call site lives in, which *local variable* a string_view
+was bound to, which container a capture refers to, whether a mutation
+happens after a binding in the same scope. This module strips a C++
+source file once (comments and literal contents blanked, literal
+contents kept aside), tokenizes it, and lowers the tokens into a small
+intermediate representation (IR) carrying exactly those facts:
 
     FileIR
+      tokens: [Token]                  # the whole stripped file; string
+                                       # literals are one "str" token each
       functions: [FunctionIR]          # every function *definition*
     FunctionIR
       qual_name                        # "NclFile::PostSuffix", "Helper"
@@ -15,15 +18,12 @@ exactly those facts:
       locals_: [VarDecl]               # declaration-ordered
       calls: [CallSite]                # receiver.method(...) / free calls
       lambdas: [LambdaExpr]            # with parsed capture lists
-      tokens, (start, end) token span
+      (start, end) token span
 
-Both backends produce this IR: the lite backend (this module) lowers a
-token stream with a heuristic scope parser, and tools/deeplint/
-clang_backend.py lowers a libclang AST when clang.cindex is importable.
-The rules in tools/deeplint/rules.py consume only the IR, so they are
-written (and self-tested) once.
+The token-level rules in tools/deeplint/rules.py read FileIR.tokens; the
+scope-level ones read the functions.
 
-The lite parser is deliberately a *recognizer*, not a compiler: constructs
+The parser is deliberately a *recognizer*, not a compiler: constructs
 it cannot classify simply produce no IR (and therefore no findings) rather
 than wrong IR. Known blind spots — preprocessor conditionals are taken as
 written, template metaprogramming is opaque, overload resolution is by
@@ -42,6 +42,7 @@ import re
 _TOKEN_RE = re.compile(
     r"[A-Za-z_][A-Za-z0-9_]*"  # identifier / keyword
     r"|\d[\dA-Za-z_.']*"  # numeric literal (incl. hex / separators)
+    r'|"[^"]*"'  # string literal (contents blanked by the stripper)
     r"|::|->\*?|\.\.\.|<<=|>>=|<=>"
     r"|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=|%=|&=|\|=|\^=|="
     r"|[{}()\[\];,<>.*&+\-/%!?:~^|]"
@@ -64,6 +65,9 @@ _CONTROL = frozenset(("if", "for", "while", "switch", "catch", "return"))
 
 
 class Token:
+    """One lexeme. A string literal is a single token of kind "str" whose
+    text is its contents, as written, between double quotes."""
+
     __slots__ = ("text", "line", "kind")
 
     def __init__(self, text, line):
@@ -73,6 +77,8 @@ class Token:
             self.kind = "kw" if text in _KEYWORDS else "id"
         elif text[0].isdigit():
             self.kind = "num"
+        elif text[0] == '"':
+            self.kind = "str"
         else:
             self.kind = "op"
 
@@ -81,13 +87,18 @@ class Token:
 
 
 def strip_comments_and_strings(text):
-    """Blanks comments and string/char literal *contents*, preserving line
-    structure and quote characters. Identical policy to simlint's
-    strip_views code view, so both linters see the same token stream."""
+    """Returns (code, literals). `code` is `text` with comments and
+    string/char literal *contents* blanked, character for character, so
+    offsets and line structure are preserved and only quote characters
+    mark the literals. `literals` maps the offset of each string
+    literal's opening quote to its contents as written (escapes
+    unprocessed), for the rules that inspect literal text."""
     out = []
+    literals = {}
     i = 0
     n = len(text)
     state = "normal"
+    start = 0  # offset of the open string literal's opening quote
     while i < n:
         c = text[i]
         nxt = text[i + 1] if i + 1 < n else ""
@@ -110,15 +121,18 @@ def strip_comments_and_strings(text):
                         close = ")" + m.group(1) + '"'
                         end = text.find(close, i)
                         if end >= 0:
-                            seg = text[i - 1 : end + len(close)]
-                            out[-1] = '"'
-                            out.append(
-                                "".join("\n" if ch == "\n" else " " for ch in seg[2:-1])
-                            )
+                            # R -> ' ', then '"', blanks, '"': 1:1.
+                            out[-1] = " "
+                            literals[i] = text[i + len(m.group(0)) - 1 : end]
+                            out.append('"')
+                            out.append("".join(
+                                "\n" if ch == "\n" else " "
+                                for ch in text[i + 1 : end + len(close) - 1]))
                             out.append('"')
                             i = end + len(close)
                             continue
                 state = "string"
+                start = i
                 out.append('"')
                 i += 1
                 continue
@@ -148,22 +162,28 @@ def strip_comments_and_strings(text):
                 i += 2
                 continue
             if c == quote or c == "\n":
+                if state == "string":
+                    literals[start] = text[start + 1 : i]
                 state = "normal"
                 out.append(quote if c == quote else "\n")
             else:
                 out.append(" ")
         i += 1
-    return "".join(out)
+    return "".join(out), literals
 
 
-def tokenize(code_text):
+def tokenize(code_text, literals):
+    """Tokens of a stripped file; each string literal token gets its
+    contents back from `literals`."""
     tokens = []
     line_starts = [0]
     for m in re.finditer(r"\n", code_text):
         line_starts.append(m.end())
     for m in _TOKEN_RE.finditer(code_text):
-        line = bisect.bisect_right(line_starts, m.start())
-        tokens.append(Token(m.group(0), line))
+        text = m.group(0)
+        if text[0] == '"':
+            text = '"%s"' % literals.get(m.start(), "")
+        tokens.append(Token(text, bisect.bisect_right(line_starts, m.start())))
     return tokens
 
 
@@ -192,15 +212,14 @@ class VarDecl:
 class CallSite:
     """`recv.method(args)` / `recv->method(args)` / `method(args)`."""
 
-    __slots__ = ("receiver", "callee", "line", "tok", "args_span", "in_lambda")
+    __slots__ = ("receiver", "callee", "line", "tok", "args_span")
 
-    def __init__(self, receiver, callee, line, tok, args_span, in_lambda):
+    def __init__(self, receiver, callee, line, tok, args_span):
         self.receiver = receiver  # "" for free calls; nested exprs collapse
         self.callee = callee
         self.line = line
         self.tok = tok
         self.args_span = args_span  # (open_paren_idx, close_paren_idx)
-        self.in_lambda = in_lambda  # enclosing LambdaExpr or None
 
     def __repr__(self):
         return "CallSite(%s.%s @%d)" % (self.receiver, self.callee, self.line)
@@ -216,16 +235,8 @@ class Capture:
 
 
 class LambdaExpr:
-    __slots__ = (
-        "captures",
-        "param_names",
-        "body_span",
-        "line",
-        "tok",
-        "passed_to",
-        "init_exprs",
-        "exact_size",  # sizeof(closure) when the clang backend computed it
-    )
+    __slots__ = ("captures", "param_names", "body_span", "line", "tok",
+                 "init_exprs")
 
     def __init__(self, captures, param_names, body_span, line, tok):
         self.captures = captures
@@ -233,9 +244,7 @@ class LambdaExpr:
         self.body_span = body_span  # (open_brace_idx, close_brace_idx)
         self.line = line
         self.tok = tok  # index of the opening '['
-        self.passed_to = None  # CallSite whose argument list contains it
         self.init_exprs = {}  # init-capture name -> root identifier of expr
-        self.exact_size = None
 
 
 class FunctionIR:
@@ -250,21 +259,14 @@ class FunctionIR:
         self.span = span  # (body_open_idx, body_close_idx)
         self.line = line
 
-    def local(self, name):
-        for v in self.locals_:
-            if v.name == name:
-                return v
-        return None
-
 
 class FileIR:
-    __slots__ = ("path", "tokens", "functions", "string_returners")
+    __slots__ = ("path", "tokens", "functions")
 
     def __init__(self, path, tokens, functions):
         self.path = path
         self.tokens = tokens
         self.functions = functions
-        self.string_returners = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +528,9 @@ def _normalize_type(type_str):
 _STMT_STARTERS = frozenset((";", "{", "}", ",", "(", ":"))
 
 
-def lower_file(path, text=None):
-    """Lowers one file to a FileIR (lite backend)."""
-    if text is None:
-        with open(path, "r", encoding="utf-8", errors="replace") as f:
-            text = f.read()
-    code = strip_comments_and_strings(text)
-    tokens = tokenize(code)
+def lower_file(path, code, literals):
+    """Lowers one stripped file (strip_comments_and_strings) to a FileIR."""
+    tokens = tokenize(code, literals)
     functions = []
 
     # Pass 1: find function bodies. We walk the token stream tracking brace
@@ -598,9 +596,6 @@ def _lower_body(tokens, ir):
     open_b, close_b = ir.span
     scope_stack = []  # open-brace indices
 
-    # lambda spans to attribute calls to their enclosing lambda
-    lambda_spans = []
-
     i = open_b + 1
     while i < close_b:
         t = tokens[i]
@@ -609,7 +604,6 @@ def _lower_body(tokens, ir):
             lam = _parse_lambda(tokens, i, close_b)
             if lam is not None:
                 ir.lambdas.append(lam)
-                lambda_spans.append(lam)
                 # continue scanning inside the lambda body for calls/locals:
                 i += 1
                 continue
@@ -624,15 +618,10 @@ def _lower_body(tokens, ir):
         elif t.kind == "id":
             nxt = tokens[i + 1].text if i + 1 < close_b else ""
             if nxt == "(" and txt not in _CONTROL and tokens[i].kind == "id":
-                recv, recv_start = _receiver_before(tokens, i)
+                recv = _receiver_before(tokens, i)
                 close_paren = _match_forward(tokens, i + 1, "(", ")")
-                in_lam = None
-                for lam in lambda_spans:
-                    if lam.body_span[0] < i < lam.body_span[1]:
-                        in_lam = lam
                 ir.calls.append(
-                    CallSite(recv, txt, t.line, i, (i + 1, close_paren), in_lam)
-                )
+                    CallSite(recv, txt, t.line, i, (i + 1, close_paren)))
                 # A call is also where a declaration could start (ctor call
                 # syntax `Type name(args)`) — handled by decl scan below.
             # Local declaration scan: at statement starts only.
@@ -652,11 +641,12 @@ def _lower_body(tokens, ir):
 
 
 def _receiver_before(tokens, name_idx):
-    """Returns (receiver_string, start_idx) for `x.y->name(`-style chains.
-    Distant/nested receivers collapse to their root identifier chain."""
+    """The receiver string of a `x.y->name(`-style chain ("" for a free
+    call). Distant/nested receivers collapse to their root identifier
+    chain."""
     i = name_idx - 1
     if i < 0 or tokens[i].text not in (".", "->"):
-        return ("", name_idx)
+        return ""
     j = i - 1
     parts = []
     while j >= 0:
@@ -681,7 +671,7 @@ def _receiver_before(tokens, name_idx):
                 continue
             break
         break
-    return ("".join(parts), j + 1)
+    return "".join(parts)
 
 
 def _is_lambda_intro(tokens, i):
@@ -820,9 +810,15 @@ def _try_decl(tokens, i, end, ir):
 
 
 # ---------------------------------------------------------------------------
-# Cross-file index: functions returning std::string (for the view-lifetime
-# binds-to-temporary check). Built once per run over every repo header and
-# source in scope; cheap (one regex pass per file).
+# Cross-file index, built once per run over every file in scope plus each
+# source's companion header. It is the one place a file is read and
+# stripped; lowering reuses the stripped text.
+#   sources           per file: (raw text, stripped code, literals)
+#   string_returners  functions returning std::string (view-lifetime's
+#                     binds-to-temporary check)
+#   unordered         per file, the std::unordered_map / unordered_set
+#                     variables it declares (unordered-iter reads a
+#                     source's own and its companion header's)
 # ---------------------------------------------------------------------------
 
 _STRING_RETURNER = re.compile(
@@ -830,16 +826,43 @@ _STRING_RETURNER = re.compile(
     r"std::string\s+([A-Za-z_]\w*)\s*\("
 )
 
+_UNORDERED_DECL = re.compile(
+    r"unordered_(?:map|set)\s*<[^;{}]*?>\s*([A-Za-z_]\w*)\s*[;={]", re.S
+)
 
-def index_string_returners(paths):
-    names = set()
-    for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as f:
-                text = f.read()
-        except OSError:
-            continue
-        code = strip_comments_and_strings(text)
+
+def companion_header(path):
+    """`x.h` for a source `x.cc`, else None."""
+    base, ext = os.path.splitext(path)
+    return base + ".h" if ext == ".cc" else None
+
+
+class Index:
+    def __init__(self):
+        self.sources = {}
+        self.string_returners = set()
+        self.unordered = {}
+
+    def unordered_names(self, path):
+        """Unordered containers visible to `path`: its own declarations
+        and, for a source, its companion header's."""
+        names = self.unordered.get(os.path.abspath(path), frozenset())
+        header = companion_header(path)
+        if header:
+            names |= self.unordered.get(os.path.abspath(header), frozenset())
+        return names
+
+
+def index_files(paths):
+    index = Index()
+    headers = {companion_header(p) for p in paths} - {None}
+    for path in sorted(set(paths) | {h for h in headers if os.path.exists(h)}):
+        with open(path, "r", encoding="utf-8", errors="replace") as f:
+            text = f.read()
+        code, literals = strip_comments_and_strings(text)
+        key = os.path.abspath(path)
+        index.sources[key] = (text, code, literals)
+        index.unordered[key] = frozenset(_UNORDERED_DECL.findall(code))
         for m in _STRING_RETURNER.finditer(code):
             name = m.group(1)
             # The regex also matches variable declarations with ctor args
@@ -851,9 +874,5 @@ def index_string_returners(paths):
                 continue
             if name in ("data", "at", "back", "front", "size", "str"):
                 continue
-            names.add(name)
-    return frozenset(names)
-
-
-def relpath_unix(path, root):
-    return os.path.relpath(path, root).replace(os.sep, "/")
+            index.string_returners.add(name)
+    return index

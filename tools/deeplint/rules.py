@@ -1,8 +1,10 @@
-"""deeplint rules: four repo contracts enforced over the model IR.
+"""deeplint rules: the repo's C++ contracts, enforced over the model IR.
 
 Each rule is a function (FileIR, RuleContext) -> [RawFinding]. Raw
 findings are pre-suppression; the driver applies the shared
 `// deeplint: allow(rule) why` idiom and the stale-allow pass on top.
+
+Lifetime & deferred execution (scope-level, over FileIR.functions):
 
     view-lifetime     string_view/span bound to a temporary or to an
                       element/data() of a container that is mutated while
@@ -25,6 +27,28 @@ findings are pre-suppression; the driver applies the shared
                       fences same-epoch membership rewrites at runtime
                       (DESIGN.md §13); this rule fences them at commit
                       time.
+
+Determinism & error handling (token-level, over FileIR.tokens):
+
+    wall-clock        any wall-clock source (system_clock, steady_clock,
+                      high_resolution_clock, gettimeofday(),
+                      clock_gettime(), time(nullptr), clock()). All time
+                      comes from the simulated clock (src/sim).
+    raw-random        std::rand, srand(), random_device, mt19937(_64),
+                      minstd_rand(0), drand48()-family. All randomness
+                      flows through splitft::Rng so it is seed-derived.
+    unordered-iter    range-for over a std::unordered_map/unordered_set
+                      declared in the file or its companion header.
+                      Hash order is not part of the determinism contract
+                      and silently ruins byte-for-byte exports.
+    metric-name       counter()/gauge()/histogram() literals must be
+                      `layer.component.metric` (>= 3 lowercase dot
+                      segments); span literals (Begin, AddAsyncSpan,
+                      ObsSpan) need >= 2. Built names are the caller's
+                      responsibility.
+    status-discard    a bare `(void)call()` / `static_cast<void>(call())`
+                      defeats [[nodiscard]] Status/Result; use
+                      DiscardStatus(expr, "where") or CHECK_OK(expr).
 """
 
 import os
@@ -35,6 +59,11 @@ RULES = (
     "dangling-capture",
     "inline-budget",
     "epoch-fence",
+    "wall-clock",
+    "raw-random",
+    "unordered-iter",
+    "metric-name",
+    "status-discard",
     "stale-allow",
 )
 
@@ -157,16 +186,10 @@ class RawFinding:
 
 
 class RuleContext:
-    def __init__(self, string_returners=frozenset(), inline_budget=None,
-                 extra_allowed=None):
-        self.string_returners = string_returners
+    def __init__(self, index, inline_budget=None):
+        self.index = index  # model.Index over every file in scope
         self.inline_budget = inline_budget or DEFAULT_INLINE_BUDGET
         self.epoch_fence_allowed = dict(EPOCH_FENCE_ALLOWED)
-        if extra_allowed:
-            for callee, funcs in extra_allowed.items():
-                self.epoch_fence_allowed[callee] = (
-                    self.epoch_fence_allowed.get(callee, frozenset()) | funcs
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +229,7 @@ def _view_lifetime_fn(file_ir, fn, ctx):
             if t.kind != "id" or nxt != "(":
                 continue
             prev = init[k - 1].text if k > 0 else ""
-            if t.text in ctx.string_returners and prev in (".", "->", "", "(", "=",
+            if t.text in ctx.index.string_returners and prev in (".", "->", "", "(", "=",
                                                            ","):
                 findings.append(RawFinding(
                     v.line, "view-lifetime",
@@ -478,8 +501,6 @@ def check_inline_budget(file_ir, ctx):
 
 
 def _estimate_captures(lam, types):
-    if getattr(lam, "exact_size", None):
-        return lam.exact_size, "sizeof(closure), clang-exact"
     total = 0
     parts = []
     for c in lam.captures:
@@ -548,6 +569,170 @@ def allowlist_line(name):
     return 1
 
 
+# ---------------------------------------------------------------------------
+# Determinism & error handling: token patterns over the whole file
+# ---------------------------------------------------------------------------
+
+# A pattern is a tuple with one set of accepted spellings per token.
+_WALL_CLOCK = (
+    ({"system_clock", "steady_clock", "high_resolution_clock"},),
+    ({"gettimeofday", "clock_gettime"}, {"("}),
+    ({"time"}, {"("}, {"NULL", "nullptr", "0"}, {")"}),
+    ({"clock"}, {"("}, {")"}),
+)
+_RAW_RANDOM = (
+    ({"std"}, {"::"}, {"rand"}),
+    ({"srand", "drand48", "lrand48", "mrand48"}, {"("}),
+    ({"random_device", "mt19937", "mt19937_64", "minstd_rand",
+      "minstd_rand0"},),
+)
+
+# Tokens that may continue the callee chain after a void cast, as in
+# `(void)a::b.c->d[0](`.
+_CHAIN_OPS = frozenset(("::", ".", "->", "[", "]", ">", "-", ">>", "--"))
+
+_METRIC_CALLS = frozenset(("counter", "gauge", "histogram"))
+_SPAN_CALLS = frozenset(("Begin", "AddAsyncSpan"))
+_NAME_HEADS = _METRIC_CALLS | _SPAN_CALLS | {"ObsSpan"}
+# kind -> (well-formed name, message)
+_NAME_RULES = {
+    "metric": (re.compile(r"^[a-z0-9_]+(?:\.[a-z0-9_]+){2,}$"),
+               "metric name \"%s\" does not follow layer.component.metric "
+               "(>= 3 lowercase dot-separated segments)"),
+    "span": (re.compile(r"^[a-z0-9_]+(?:\.[a-z0-9_]+)+$"),
+             "span name \"%s\" does not follow layer.component "
+             "(>= 2 lowercase dot-separated segments)"),
+}
+
+
+def _text(tokens, i):
+    return tokens[i].text if i < len(tokens) else ""
+
+
+def _pattern_matcher(patterns):
+    def match(tokens, i):
+        for pat in patterns:
+            if all(_text(tokens, i + k) in alts for k, alts in enumerate(pat)):
+                return "".join(t.text for t in tokens[i : i + len(pat)])
+        return None
+    return set().union(*(p[0] for p in patterns)), match
+
+
+def _first_per_line(tokens, heads, match, rule, message):
+    """One finding per line: the first token spelled as one of `heads`
+    where `match` returns a spelling, formatted into `message`."""
+    findings = []
+    last = 0
+    for i, t in enumerate(tokens):
+        if t.text not in heads or t.line == last:
+            continue
+        spelled = match(tokens, i)
+        if spelled:
+            findings.append(RawFinding(t.line, rule, message % spelled))
+            last = t.line
+    return findings
+
+
+def check_wall_clock(file_ir, ctx):
+    return _first_per_line(
+        file_ir.tokens, *_pattern_matcher(_WALL_CLOCK), "wall-clock",
+        "wall-clock source '%s'; use the simulated clock (Simulation::Now)")
+
+
+def check_raw_random(file_ir, ctx):
+    return _first_per_line(
+        file_ir.tokens, *_pattern_matcher(_RAW_RANDOM), "raw-random",
+        "raw randomness '%s'; use splitft::Rng (src/common/rng.h) so draws "
+        "are seed-derived")
+
+
+def _void_cast_of_call(tokens, i):
+    """"void" when a bare `(void)` / `static_cast<void>(` at token i
+    applies to a call `chain(`, where the callee chain is written without
+    spaces (`f->Sync`, `x[0].Close`, `::ns::F`)."""
+    for cast in (("(", "void", ")"), ("static_cast", "<", "void", ">", "(")):
+        if all(_text(tokens, i + k) == c for k, c in enumerate(cast)):
+            break
+    else:
+        return None
+    j = i + len(cast)
+    if j >= len(tokens) or not (tokens[j].kind in ("id", "kw") or
+                                tokens[j].text == "::"):
+        return None
+    prev_word = False
+    while j < len(tokens):
+        word = tokens[j].kind in ("id", "kw", "num")
+        if word and prev_word:
+            return None  # two words in a row: a declaration, not a chain
+        if not word and tokens[j].text not in _CHAIN_OPS:
+            break
+        prev_word = word
+        j += 1
+    return "void" if _text(tokens, j) == "(" else None
+
+
+def check_status_discard(file_ir, ctx):
+    return _first_per_line(
+        file_ir.tokens, {"(", "static_cast"}, _void_cast_of_call,
+        "status-discard",
+        "bare %s cast discards a call result; use DiscardStatus(expr, "
+        "\"where\") or CHECK_OK(expr)")
+
+
+def check_unordered_iter(file_ir, ctx):
+    names = ctx.index.unordered_names(file_ir.path)
+    if not names:
+        return []
+
+    def match(tokens, i):
+        if _text(tokens, i + 1) != "(":
+            return None
+        close = _match_fwd(tokens, i + 1, "(", ")")
+        header = [t.text for t in tokens[i + 2 : close]]
+        last = tokens[close - 1]
+        if ":" in header and ";" not in header and last.kind == "id" and \
+                last.text in names:
+            return last.text
+        return None
+    return _first_per_line(
+        file_ir.tokens, {"for"}, match, "unordered-iter",
+        "range-for over unordered container '%s'; iteration order is not "
+        "covered by the determinism contract — emit via a sorted container")
+
+
+def _registered_name(tokens, i):
+    """(kind, name) when token i registers a metric or opens a span with
+    a literal name: `counter("a.b.c")`, `Begin("a.b")`,
+    `ObsSpan span(tracer, "a.b")`."""
+    t = tokens[i].text
+    if t in _METRIC_CALLS or t in _SPAN_CALLS:
+        lit = _text(tokens, i + 2)
+        if _text(tokens, i + 1) == "(" and lit.startswith('"'):
+            return ("metric" if t in _METRIC_CALLS else "span", lit[1:-1])
+    elif t == "ObsSpan" and _text(tokens, i + 2) == "(" and \
+            tokens[i + 1].kind == "id":
+        j = i + 3
+        while _text(tokens, j) not in ("", "(", ")") and \
+                tokens[j].kind != "str":
+            j += 1
+        if _text(tokens, j).startswith('"') and tokens[j - 1].text == ",":
+            return ("span", tokens[j].text[1:-1])
+    return None
+
+
+def check_metric_name(file_ir, ctx):
+    findings = []
+    tokens = file_ir.tokens
+    for i, t in enumerate(tokens):
+        found = t.text in _NAME_HEADS and _registered_name(tokens, i)
+        if found:
+            ok, message = _NAME_RULES[found[0]]
+            if not ok.match(found[1]):
+                findings.append(
+                    RawFinding(t.line, "metric-name", message % found[1]))
+    return findings
+
+
 RULES_PATH = os.path.abspath(__file__)
 
 ALL_CHECKS = (
@@ -555,6 +740,11 @@ ALL_CHECKS = (
     check_dangling_capture,
     check_inline_budget,
     check_epoch_fence,
+    check_wall_clock,
+    check_raw_random,
+    check_unordered_iter,
+    check_metric_name,
+    check_status_discard,
 )
 
 

@@ -7,11 +7,20 @@
 // block also shows the *sanctioned fixes* (reserve before the loop,
 // by-value captures, drain-in-frame), which the analyzer recognizes as
 // clean without any suppression.
+//
+// status-discard is suppressed file-wide to mirror the real-world case
+// (src/common/logging.h, where the cast lives inside a multi-line macro and
+// a same-line comment is impossible).
+//
+// deeplint: allow-file(status-discard) fixture for allow-file handling
 
 #include <array>
+#include <chrono>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 struct Sim {
@@ -89,6 +98,41 @@ void StaleAllowSuppressed() {
   // deeplint: allow(stale-allow) fixture: parked across a refactor
   int x = 0;  // deeplint: allow(epoch-fence) parked
   Use(x);
+  // deeplint: allow(stale-allow) fixture: parked across a refactor
+  int y = 0;  // deeplint: allow(raw-random) parked
+  Use(y);
+}
+
+// wall-clock, suppressed on the same line.
+void WallClockSuppressed() {
+  auto t0 = std::chrono::steady_clock::now();  // deeplint: allow(wall-clock) fixture: bounds a real-time watchdog, never feeds sim state
+}
+
+// raw-random, suppressed from the line above.
+void RawRandomSuppressed() {
+  // deeplint: allow(raw-random) fixture: seeding material only
+  std::random_device rd;
+}
+
+// unordered-iter, suppressed: the reduction does not depend on order.
+struct Exporter {
+  std::unordered_map<int, int> table_;
+  long Total() {
+    long sum = 0;
+    // deeplint: allow(unordered-iter) fixture: order-insensitive reduction
+    for (const auto& kv : table_) {
+      sum += kv.second;
+    }
+    return sum;
+  }
+};
+
+void MetricNamesSuppressed(Registry* reg) {
+  reg->counter("x");  // deeplint: allow(metric-name) fixture: API unit test
+}
+
+void StatusDiscardsSuppressed(File* f) {
+  (void)f->Sync();  // covered by the allow-file(status-discard) above
 }
 
 // ---- clean twins: sanctioned fixes need no suppression ---------------------
